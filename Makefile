@@ -4,14 +4,15 @@
 # max-queue and timestamp-ring bookkeeping live in — and over the
 # parallel probe layer (stability.SweepGrid / ParallelThresholdSearch)
 # and the experiment runners that fan out through it, plus the
-# observability layer (internal/obs) riding both hot paths. The race
-# package list also covers the leap engine (internal/sim leap windows,
-# adversary StaticUntil horizons, obs leap observers) — the
-# leap-vs-step differential property test runs under -race here.
+# observability layer (internal/obs) riding both hot paths and the
+# graph package's simple-path marks. The race package list also
+# covers the leap engine (internal/sim leap windows, adversary
+# StaticUntil horizons, obs leap observers) — the leap-vs-step
+# differential property test runs under -race here.
 
 GO ?= go
 
-.PHONY: verify test vet race bench bench-diff sweep-smoke trace-smoke leap-smoke scenario-smoke drop-smoke checkpoint-smoke telemetry-smoke fuzz
+.PHONY: verify test vet race bench bench-diff perf-e2e sweep-smoke trace-smoke leap-smoke scenario-smoke drop-smoke checkpoint-smoke telemetry-smoke fuzz
 
 verify: test vet race
 
@@ -23,7 +24,7 @@ vet:
 	$(GO) vet ./...
 
 race:
-	$(GO) test -race ./internal/sim/... ./internal/adversary/... ./internal/buffer/... ./internal/stability/... ./internal/expt/... ./internal/obs/... ./internal/scenario/...
+	$(GO) test -race ./internal/graph/... ./internal/sim/... ./internal/adversary/... ./internal/buffer/... ./internal/stability/... ./internal/expt/... ./internal/obs/... ./internal/scenario/...
 
 # Emit a BENCH_<LABEL>.json trajectory point (default label: git short hash).
 LABEL ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
@@ -35,6 +36,14 @@ bench:
 AGAINST ?= $(lastword $(sort $(wildcard BENCH_*.json)))
 bench-diff:
 	$(GO) run ./cmd/bench -against $(AGAINST)
+
+# The repository benchmark (perfbench/, see BENCHMARK.json): one 25 s
+# untraced run of each of its four workloads, each printing its
+# end-to-end metrics and outcome checks.
+perf-e2e:
+	for w in thm317 random-wr corpus remark1; do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 25 --trace 0 || exit 1; \
+	done
 
 # Quick end-to-end pass over both cmd/sweep modes at full fan-out —
 # the same configurations cmd/sweep's golden tests pin byte-identical
@@ -114,6 +123,7 @@ telemetry-smoke:
 	$(GO) run ./cmd/aqtsim -topo line -size 8 -adv burst -w 64 -rate 1/4 -steps 4000 -sample-every 16 -spans 1 -trace /tmp/aqt-telemetry-smoke.jsonl
 
 fuzz:
+	$(GO) test -fuzz FuzzPathCheck -fuzztime 30s ./internal/graph
 	$(GO) test -fuzz FuzzRandomWRWindow -fuzztime 30s ./internal/adversary
 	$(GO) test -fuzz FuzzKeyedHeapAgreement -fuzztime 30s ./internal/sim
 	$(GO) test -fuzz FuzzDropPolicy -fuzztime 30s ./internal/sim

@@ -43,20 +43,22 @@ func NewBurstScript(streams ...BurstStream) *BurstScript {
 type BurstScript struct {
 	streams []BurstStream
 	sent    []int64
-	lastT   int64 // last step Inject ran at (0 before the first)
+	lastT   int64              // last step Inject ran at (0 before the first)
+	out     []packet.Injection // Inject's result, reused every step
 }
 
 // PreStep implements sim.Adversary.
 func (b *BurstScript) PreStep(*sim.Engine) {}
 
-// Inject implements sim.Adversary.
+// Inject implements sim.Adversary. The returned slice is reused by the
+// next call.
 func (b *BurstScript) Inject(e *sim.Engine) []packet.Injection {
 	if b.sent == nil {
 		b.sent = make([]int64, len(b.streams))
 	}
 	t := e.Now()
 	b.lastT = t
-	var out []packet.Injection
+	out := b.out[:0]
 	for i, st := range b.streams {
 		if t < st.Start || (t-st.Start)%st.Period != 0 {
 			continue
@@ -72,6 +74,7 @@ func (b *BurstScript) Inject(e *sim.Engine) []packet.Injection {
 		}
 		b.sent[i] += n
 	}
+	b.out = out
 	return out
 }
 

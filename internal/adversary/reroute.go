@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"fmt"
+	"slices"
 
 	"aqt/internal/graph"
 	"aqt/internal/packet"
@@ -16,23 +17,32 @@ func SharedEdge(pkts []*packet.Packet) (graph.EdgeID, bool) {
 	if len(pkts) == 0 {
 		return graph.NoEdge, false
 	}
-	counts := make(map[graph.EdgeID]int)
-	for _, p := range pkts {
-		seen := make(map[graph.EdgeID]bool)
-		for _, e := range p.RemainingRoute() {
-			if !seen[e] {
-				seen[e] = true
-				counts[e]++
+	// The candidates start as the distinct edges of the first remaining
+	// route; every further packet keeps only those its route contains.
+	var arr [32]graph.EdgeID
+	cand := arr[:0]
+	for _, e := range pkts[0].RemainingRoute() {
+		if !slices.Contains(cand, e) {
+			cand = append(cand, e)
+		}
+	}
+	for _, p := range pkts[1:] {
+		if len(cand) == 0 {
+			break
+		}
+		rem, n := p.RemainingRoute(), 0
+		for _, e := range cand {
+			if slices.Contains(rem, e) {
+				cand[n] = e
+				n++
 			}
 		}
+		cand = cand[:n]
 	}
-	best, found := graph.NoEdge, false
-	for e, c := range counts {
-		if c == len(pkts) && (!found || e < best) {
-			best, found = e, true
-		}
+	if len(cand) == 0 {
+		return graph.NoEdge, false
 	}
-	return best, found
+	return slices.Min(cand), true
 }
 
 // Rerouter validates and performs Lemma 3.3 reroutes. It observes
@@ -47,9 +57,10 @@ func SharedEdge(pkts []*packet.Packet) (graph.EdgeID, bool) {
 type Rerouter struct {
 	Rate rational.Rat
 	// lastUse[e] is the latest injection time of any packet whose
-	// route (as first injected or later extended) includes e.
-	lastUse map[graph.EdgeID]int64
-	seenAny map[graph.EdgeID]bool
+	// route (as first injected or later extended) includes e, valid
+	// where used[e]. Both are indexed by EdgeID and grow on demand.
+	lastUse []int64
+	used    []bool
 }
 
 // NewRerouter returns a Rerouter for a rate-r adversary.
@@ -57,11 +68,7 @@ func NewRerouter(rate rational.Rat) *Rerouter {
 	if rate.Sign() <= 0 {
 		panic("adversary: rerouter needs a positive rate")
 	}
-	return &Rerouter{
-		Rate:    rate,
-		lastUse: make(map[graph.EdgeID]int64),
-		seenAny: make(map[graph.EdgeID]bool),
-	}
+	return &Rerouter{Rate: rate}
 }
 
 // OnStep implements sim.Observer.
@@ -89,8 +96,13 @@ func (r *Rerouter) OnReroute(t int64, p *packet.Packet, oldRoute []graph.EdgeID)
 
 func (r *Rerouter) note(t int64, route []graph.EdgeID) {
 	for _, e := range route {
-		if !r.seenAny[e] || r.lastUse[e] < t {
-			r.seenAny[e] = true
+		if int(e) >= len(r.used) {
+			n := max(int(e)+1, 2*len(r.used))
+			r.lastUse = append(r.lastUse, make([]int64, n-len(r.lastUse))...)
+			r.used = append(r.used, make([]bool, n-len(r.used))...)
+		}
+		if !r.used[e] || r.lastUse[e] < t {
+			r.used[e] = true
 			r.lastUse[e] = t
 		}
 	}
@@ -105,19 +117,14 @@ func (r *Rerouter) IsNew(e *sim.Engine, edge graph.EdgeID) bool {
 	if !any {
 		return true
 	}
-	return r.isNewAt(tStar, edge)
+	return r.isNewBefore(tStar-r.Rate.Inv().Ceil(), edge)
 }
 
-// isNewAt is IsNew with the population's minimum injection time
-// precomputed — batch callers compute tStar once instead of scanning
-// every queued packet per edge.
-func (r *Rerouter) isNewAt(tStar int64, edge graph.EdgeID) bool {
-	last, used := r.lastUse[edge], r.seenAny[edge]
-	if !used {
-		return true
-	}
-	threshold := tStar - r.Rate.Inv().Ceil()
-	return last < threshold
+// isNewBefore is IsNew with the threshold tStar - ceil(1/r)
+// precomputed — batch callers compute it once instead of scanning
+// every queued packet and dividing the rate per edge.
+func (r *Rerouter) isNewBefore(threshold int64, edge graph.EdgeID) bool {
+	return uint(edge) >= uint(len(r.used)) || !r.used[edge] || r.lastUse[edge] < threshold
 }
 
 func minInjectionTime(e *sim.Engine) (int64, bool) {
@@ -148,11 +155,12 @@ func (r *Rerouter) ExtendBatch(e *sim.Engine, pkts []*packet.Packet, ext func(p 
 		return fmt.Errorf("adversary: rerouted packets share no common edge")
 	}
 	tStar, any := minInjectionTime(e)
+	threshold := tStar - r.Rate.Inv().Ceil()
 	exts := make([][]graph.EdgeID, len(pkts))
 	for i, p := range pkts {
 		exts[i] = ext(p)
 		for _, edge := range exts[i] {
-			if any && !r.isNewAt(tStar, edge) {
+			if any && !r.isNewBefore(threshold, edge) {
 				return fmt.Errorf("adversary: extension edge %d is not new to P(t)", edge)
 			}
 		}

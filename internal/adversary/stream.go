@@ -51,6 +51,7 @@ type Script struct {
 	streams []*runningStream
 	added   int                 // total AddStream calls (checkpoint stream keys)
 	pre     func(e *sim.Engine) // optional PreStep hook (rerouting)
+	out     []packet.Injection  // Inject's result, reused every step
 }
 
 // NewScript returns a Script with the given initial streams.
@@ -89,10 +90,11 @@ func (s *Script) PreStep(e *sim.Engine) {
 	}
 }
 
-// Inject implements sim.Adversary.
+// Inject implements sim.Adversary. The returned slice is reused by the
+// next call.
 func (s *Script) Inject(e *sim.Engine) []packet.Injection {
 	t := e.Now()
-	var out []packet.Injection
+	out := s.out[:0]
 	n := 0
 	for _, rs := range s.streams {
 		if rs.done() {
@@ -117,6 +119,7 @@ func (s *Script) Inject(e *sim.Engine) []packet.Injection {
 		}
 	}
 	s.streams = s.streams[:n]
+	s.out = out
 	return out
 }
 

@@ -220,19 +220,46 @@ func (g *Graph) IsPath(route []EdgeID) bool {
 }
 
 // IsSimplePath reports whether route is a directed path visiting no
-// node twice (the model requires injected routes to be simple).
+// node twice (the model requires injected routes to be simple). It
+// allocates fresh marks on every call; hot paths keep their own
+// NodeMarks and call IsPath and NoRepeatedNode instead.
 func (g *Graph) IsSimplePath(route []EdgeID) bool {
-	if !g.IsPath(route) {
-		return false
+	var m NodeMarks
+	return g.IsPath(route) && g.NoRepeatedNode(route, &m)
+}
+
+// NodeMarks is caller-owned scratch for NoRepeatedNode: one generation
+// stamp per node, so a check costs O(len(route)) and allocates nothing
+// once the marks cover the graph. The zero value is ready to use; the
+// marks grow when the graph gains nodes. A NodeMarks is not safe for
+// concurrent use, which is why it lives with its caller (one per
+// engine) rather than on the shared Graph.
+type NodeMarks struct {
+	stamp []uint16
+	gen   uint16
+}
+
+// NoRepeatedNode reports whether the route visits no node twice. It
+// assumes route already passed IsPath, so that its nodes are the first
+// edge's tail followed by every edge's head.
+func (g *Graph) NoRepeatedNode(route []EdgeID, m *NodeMarks) bool {
+	if n := len(g.nodeNames); len(m.stamp) < n {
+		m.stamp = append(m.stamp, make([]uint16, n-len(m.stamp))...)
 	}
-	seen := make(map[NodeID]bool, len(route)+1)
-	seen[g.edges[route[0]].From] = true
+	m.gen++
+	if m.gen == 0 {
+		// The stamps wrapped: clear them so no stale stamp can equal a
+		// reused generation.
+		clear(m.stamp)
+		m.gen = 1
+	}
+	m.stamp[g.edges[route[0]].From] = m.gen
 	for _, e := range route {
 		to := g.edges[e].To
-		if seen[to] {
+		if m.stamp[to] == m.gen {
 			return false
 		}
-		seen[to] = true
+		m.stamp[to] = m.gen
 	}
 	return true
 }

@@ -14,6 +14,9 @@ import (
 var (
 	emitOnce   sync.Once
 	emittedAll []Emitted
+	// handMu serializes reads of the shared hand-wired engines: engines
+	// are goroutine-confined, and even Snap updates a lazy cache.
+	handMu sync.Mutex
 )
 
 func allEmitted() []Emitted {
@@ -37,7 +40,10 @@ func TestDifferentialMatrix(t *testing.T) {
 					t.Fatalf("Build(%s): %v", em.ID, err)
 				}
 				out := b.RunMode(mode)
-				if err := adversary.SameExecution(em.Hand, b.Engine); err != nil {
+				handMu.Lock()
+				err = adversary.SameExecution(em.Hand, b.Engine)
+				handMu.Unlock()
+				if err != nil {
 					t.Fatalf("spec-compiled %q under %s diverges from the hand-wired construction: %v",
 						em.ID, mode, err)
 				}

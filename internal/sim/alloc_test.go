@@ -63,3 +63,54 @@ func TestStepAllocsRecorded(t *testing.T) {
 		t.Errorf("recorded random (w,r) load: %v allocs per Step, want 0", avg)
 	}
 }
+
+// TestRouteCheckAllocs pins the simple-path check admit and every
+// reroute run at 0 allocs per route once the engine's node marks cover
+// the graph.
+func TestRouteCheckAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	g := graph.Ring(16)
+	e := sim.New(g, policy.FIFO{}, nil)
+	simple, closed := make([]graph.EdgeID, 10), make([]graph.EdgeID, 16)
+	for i := range closed {
+		closed[i] = graph.EdgeID(i)
+	}
+	copy(simple, closed)
+	var okSimple, okClosed bool
+	if avg := testing.AllocsPerRun(256, func() {
+		okSimple, okClosed = e.SimpleRoute(simple), e.SimpleRoute(closed)
+	}); avg != 0 {
+		t.Errorf("route check: %v allocs per call, want 0", avg)
+	}
+	if !okSimple || okClosed {
+		t.Errorf("route check = %v, %v; want true for the open route, false for the cycle", okSimple, okClosed)
+	}
+}
+
+// TestExtendRouteAllocs pins ExtendRoute at exactly one allocation:
+// the extended route itself.
+func TestExtendRouteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	const runs = 256
+	g := graph.Line(8)
+	e := sim.New(g, policy.FIFO{}, nil)
+	pkts := make([]*packet.Packet, runs+1) // AllocsPerRun adds one warm-up call
+	for i := range pkts {
+		pkts[i] = e.Seed(packet.Inj(g.MustEdge("e1")))
+	}
+	ext := []graph.EdgeID{g.MustEdge("e2"), g.MustEdge("e3")}
+	i := 0
+	if avg := testing.AllocsPerRun(runs, func() {
+		e.ExtendRoute(pkts[i], ext)
+		i++
+	}); avg != 1 {
+		t.Errorf("ExtendRoute: %v allocs per call, want 1", avg)
+	}
+	if got := len(pkts[runs].Route); got != 3 {
+		t.Errorf("extended route has %d edges, want 3", got)
+	}
+}

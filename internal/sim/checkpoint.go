@@ -549,7 +549,7 @@ func (e *Engine) Restore(c *Checkpoint) error {
 		for i := range c.Buffers {
 			for j := range c.Buffers[i].Packets {
 				pc := &c.Buffers[i].Packets[j]
-				if !e.g.IsSimplePath(pc.Route) {
+				if !e.simpleRoute(pc.Route) {
 					return cperrf(fmt.Sprintf("buffers[%d].packets[%d].route", i, j), "not a simple path in the target graph")
 				}
 			}

@@ -49,7 +49,10 @@ type Adversary interface {
 	// substep; it may reroute packets.
 	PreStep(e *Engine)
 	// Inject runs in the second substep of step t = e.Now() and
-	// returns the packets to inject at this step.
+	// returns the packets to inject at this step. The returned slice
+	// and the routes it holds belong to the adversary and stay valid
+	// only until its next Inject, so an adversary may reuse one buffer
+	// across steps; the engine copies every route it admits.
 	Inject(e *Engine) []packet.Injection
 }
 
@@ -192,6 +195,10 @@ type Engine struct {
 	// O(1/chunk) allocations per packet instead of 2.
 	routeArena []graph.EdgeID
 	pktArena   []packet.Packet
+
+	// marks is the scratch of the simple-path check run on every
+	// admitted, rerouted and restored route (see simpleRoute).
+	marks graph.NodeMarks
 
 	stats StepStats
 
@@ -426,7 +433,7 @@ func (e *Engine) SeedN(n int, inj packet.Injection) {
 // Injection observers fire before the enqueue attempt (none reads
 // enqueue-time state), so an event trace shows inject before drop.
 func (e *Engine) admit(inj packet.Injection, t int64) *packet.Packet {
-	if !e.cfg.SkipRouteCheck && !e.g.IsSimplePath(inj.Route) {
+	if !e.cfg.SkipRouteCheck && !e.simpleRoute(inj.Route) {
 		panic(fmt.Sprintf("sim: injection route is not a simple path: %s",
 			e.g.RouteString(inj.Route)))
 	}
@@ -447,6 +454,12 @@ func (e *Engine) admit(inj packet.Injection, t int64) *packet.Packet {
 	}
 	e.tryEnqueue(p, t)
 	return p
+}
+
+// simpleRoute reports whether route is a simple directed path in the
+// engine's graph, allocating nothing in steady state.
+func (e *Engine) simpleRoute(route []graph.EdgeID) bool {
+	return e.g.IsPath(route) && e.g.NoRepeatedNode(route, &e.marks)
 }
 
 // newPacket hands out the next slot of the packet arena. A chunk stays
@@ -710,7 +723,9 @@ func (e *Engine) ExtendRoute(p *packet.Packet, ext []graph.EdgeID) {
 	if len(ext) == 0 {
 		return
 	}
-	e.ReplaceRouteSuffix(p, append(append([]graph.EdgeID{}, p.Route[p.Pos+1:]...), ext...))
+	route := make([]graph.EdgeID, len(p.Route)+len(ext))
+	copy(route[copy(route, p.Route):], ext)
+	e.setRoute(p, route)
 }
 
 // ReplaceRouteSuffix replaces the part of p's route strictly after its
@@ -723,6 +738,15 @@ func (e *Engine) ExtendRoute(p *packet.Packet, ext []graph.EdgeID) {
 // inside them — would silently corrupt the keyed-heap tombstone
 // bookkeeping, so the engine panics instead.
 func (e *Engine) ReplaceRouteSuffix(p *packet.Packet, newSuffix []graph.EdgeID) {
+	route := make([]graph.EdgeID, p.Pos+1+len(newSuffix))
+	copy(route[copy(route, p.Route[:p.Pos+1]):], newSuffix)
+	e.setRoute(p, route)
+}
+
+// setRoute installs route, which keeps p.Route[:p.Pos+1] as its
+// prefix, as p's new route: the common tail of ExtendRoute and
+// ReplaceRouteSuffix.
+func (e *Engine) setRoute(p *packet.Packet, route []graph.EdgeID) {
 	if e.midStep {
 		panic(fmt.Sprintf("sim: reroute of %v during the send/receive/inject substeps; "+
 			"Lemma 3.3 reroutes are allowed only from Adversary.PreStep (or between steps)", p))
@@ -732,15 +756,12 @@ func (e *Engine) ReplaceRouteSuffix(p *packet.Packet, newSuffix []graph.EdgeID) 
 	if e.keyed != nil {
 		oldKey = e.keyed.SelectionKey(p)
 	}
-	route := make([]graph.EdgeID, 0, p.Pos+1+len(newSuffix))
-	route = append(route, old[:p.Pos+1]...)
-	route = append(route, newSuffix...)
 	if !e.cfg.SkipRouteCheck {
 		if !e.g.IsPath(route) {
 			panic(fmt.Sprintf("sim: reroute of %v breaks path contiguity: %s",
 				p, e.g.RouteString(route)))
 		}
-		if !e.g.IsSimplePath(route) {
+		if !e.g.NoRepeatedNode(route, &e.marks) {
 			panic(fmt.Sprintf("sim: reroute of %v is not simple: %s",
 				p, e.g.RouteString(route)))
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -224,17 +225,32 @@ func TestReplaceRouteSuffix(t *testing.T) {
 	}
 }
 
+// TestReplaceRouteSuffixContiguityPanics checks that a broken reroute
+// and a contiguous one revisiting a node panic, each with its own
+// message.
 func TestReplaceRouteSuffixContiguityPanics(t *testing.T) {
+	panicMsg := func(f func()) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		f()
+		return ""
+	}
 	g := graph.TwoParallelPaths(2, 2)
 	e := New(g, policy.FIFO{}, nil)
 	p := e.Seed(packet.Inj(route(g, "p1_1", "p1_2")...))
-	defer func() {
-		if recover() == nil {
-			t.Error("discontiguous reroute did not panic")
-		}
-	}()
 	// p2_2 does not start where p1_1 ends.
-	e.ReplaceRouteSuffix(p, route(g, "p2_2"))
+	if msg := panicMsg(func() { e.ReplaceRouteSuffix(p, route(g, "p2_2")) }); !strings.Contains(msg, "breaks path contiguity") {
+		t.Errorf("discontiguous reroute: panic %q", msg)
+	}
+	ring := graph.Ring(3)
+	e = New(ring, policy.FIFO{}, nil)
+	p = e.Seed(packet.Inj(route(ring, "e1")...))
+	// e1, e2, e3 returns to v0.
+	if msg := panicMsg(func() { e.ReplaceRouteSuffix(p, route(ring, "e2", "e3")) }); !strings.Contains(msg, "is not simple") {
+		t.Errorf("cyclic reroute: panic %q", msg)
+	}
+	if len(p.Route) != 1 {
+		t.Errorf("rejected reroute changed the route to %v", p.Route)
+	}
 }
 
 func TestMaxResidence(t *testing.T) {
