@@ -125,6 +125,7 @@ telemetry-smoke:
 fuzz:
 	$(GO) test -fuzz FuzzPathCheck -fuzztime 30s ./internal/graph
 	$(GO) test -fuzz FuzzRandomWRWindow -fuzztime 30s ./internal/adversary
+	$(GO) test -fuzz FuzzRateScan -fuzztime 30s ./internal/adversary
 	$(GO) test -fuzz FuzzKeyedHeapAgreement -fuzztime 30s ./internal/sim
 	$(GO) test -fuzz FuzzDropPolicy -fuzztime 30s ./internal/sim
 	$(GO) test -fuzz FuzzScenarioLoad -fuzztime 30s ./internal/scenario

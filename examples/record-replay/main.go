@@ -40,8 +40,9 @@ func main() {
 
 	// 1. The oblivious schedule — every packet with its final route,
 	// charged at its injection time — satisfies the rate-r constraint
-	// directly. No rerouting bookkeeping needed.
-	if err := adversary.ValidateRecording(schedule, ins.P.R, 400, 4*ins.SStar); err != nil {
+	// directly, checked exactly on every edge and interval. No rerouting
+	// bookkeeping needed; the last two arguments are ignored.
+	if err := adversary.ValidateRecording(schedule, ins.P.R, 0, 0); err != nil {
 		fmt.Printf("rate-r validation FAILED: %v\n", err)
 		return
 	}

@@ -259,21 +259,6 @@ func TestWindowValidatorPanicsOnBadW(t *testing.T) {
 	NewWindowValidator(0, rational.New(1, 2))
 }
 
-func TestCheckBudgetMatchesCheckOnSmallRuns(t *testing.T) {
-	g := graph.Line(1)
-	rate := rational.New(2, 5)
-	s := NewScript(Stream{Start: 1, Rate: rate, Budget: 60, Route: rt(g, "e1")})
-	rv := NewRateValidator(rate)
-	e := sim.New(g, fifo(), s)
-	e.AddObserver(rv)
-	e.Run(200)
-	errA := rv.Check()
-	errB := rv.CheckBudget(10, 50) // force the anchored path
-	if (errA == nil) != (errB == nil) {
-		t.Errorf("Check = %v, CheckBudget = %v", errA, errB)
-	}
-}
-
 func TestSharedEdge(t *testing.T) {
 	g := graph.Line(3)
 	p1 := &packet.Packet{Route: rt(g, "e1", "e2", "e3"), Pos: 0}

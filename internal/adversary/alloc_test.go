@@ -75,3 +75,38 @@ func TestRerouterOnInjectAllocs(t *testing.T) {
 		t.Errorf("Rerouter.OnInject after warm-up: %v allocs per call, want 0", avg)
 	}
 }
+
+func TestValidatorHooksAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	g := graph.Line(64)
+	rv := NewRateValidator(rational.New(1, 2))
+	wv := NewWindowValidator(8, rational.New(1, 2))
+	old := rt(g, "e60", "e61")
+	p := &packet.Packet{Route: rt(g, "e60", "e61", "e62", "e63", "e64"), InjectedAt: 1}
+	for _, u := range []*usage{rv.usage, wv.usage} {
+		u.OnInject(1, p) // warm-up: the marks cover the graph
+		for _, e := range p.Route {
+			u.times[e] = make([]int64, 0, 4096) // appends below stay in place
+		}
+	}
+	tm := int64(1)
+	if avg := testing.AllocsPerRun(512, func() {
+		tm++
+		p.InjectedAt = tm
+		rv.OnInject(tm, p)
+		rv.OnReroute(tm, p, old)
+		wv.OnInject(tm, p)
+		wv.OnReroute(tm, p, old)
+	}); avg != 0 {
+		t.Errorf("validator OnInject+OnReroute after warm-up: %v allocs per call, want 0", avg)
+	}
+	// A reroute charges only the edges it added, not the old route.
+	if got := len(rv.times[g.MustEdge("e64")]); got != 2*513 {
+		t.Errorf("e64 recorded %d times, want %d (inject + reroute per call)", got, 2*513)
+	}
+	if got := len(wv.times[g.MustEdge("e60")]); got != 513 {
+		t.Errorf("e60 recorded %d times, want %d (inject only)", got, 513)
+	}
+}

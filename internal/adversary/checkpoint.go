@@ -17,7 +17,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync/atomic"
 
 	"aqt/internal/graph"
@@ -431,13 +430,11 @@ type UsageState []EdgeUsage
 // not an adversary, so this rides the observer-state side of a
 // checkpoint (see internal/scenario).
 func (wv *WindowValidator) UsageState() UsageState {
-	us := make(UsageState, 0, len(wv.u.times))
-	for eid, ts := range wv.u.times {
-		cp := append([]int64(nil), ts...)
-		sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-		us = append(us, EdgeUsage{Edge: eid, Times: cp})
+	edges := wv.sorted()
+	us := make(UsageState, len(edges))
+	for i, e := range edges {
+		us[i] = EdgeUsage{Edge: e, Times: append([]int64(nil), wv.times[e]...)}
 	}
-	sort.Slice(us, func(i, j int) bool { return us[i].Edge < us[j].Edge })
 	return us
 }
 
@@ -459,9 +456,9 @@ func (wv *WindowValidator) RestoreUsage(us UsageState) error {
 			}
 		}
 	}
-	wv.u = newUsage()
+	wv.usage = newUsage()
 	for _, eu := range us {
-		wv.u.times[eu.Edge] = append([]int64(nil), eu.Times...)
+		wv.times[eu.Edge] = append([]int64(nil), eu.Times...)
 	}
 	return nil
 }

@@ -158,29 +158,18 @@ func SeedRecording(e *sim.Engine, rec []RecordedInjection) {
 // injection times — against the leaky-bucket rate-r definition: for
 // every edge and every interval I, at most ceil(r·|I|) packets
 // requiring the edge are injected during I. Seeds are excluded, as in
-// RateValidator. maxPerEdge/maxWin bound the exact quadratic scan as
-// in RateValidator.CheckBudget. Returns nil when compliant.
+// RateValidator. The check is RateValidator.Check's: exact on every
+// edge, linear in the recording, lowest violating EdgeID reported.
+// maxPerEdge and maxWin are accepted for compatibility with callers of
+// the earlier budgeted check and ignored. Returns nil when compliant.
 func ValidateRecording(rec []RecordedInjection, rate rational.Rat, maxPerEdge int, maxWin int64) error {
 	u := newUsage()
 	for _, ri := range rec {
-		if ri.Step == 0 {
-			continue
-		}
-		u.add(ri.Step, ri.Route)
-	}
-	u.sortAll()
-	for e, ts := range u.times {
-		if len(ts) <= maxPerEdge {
-			if err := checkAllIntervals(e, ts, rate); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := checkAnchoredIntervals(e, ts, rate, maxWin); err != nil {
-			return err
+		if ri.Step != 0 {
+			u.add(ri.Step, ri.Route, nil)
 		}
 	}
-	return nil
+	return u.checkRate(rate)
 }
 
 // DivergenceAt compares two engines after the same number of steps and

@@ -55,8 +55,9 @@ func E6Lemma33(q Quick) *Table {
 		}
 	})
 	// The rate validator confirms the emitted execution (including the
-	// reroute-charged edges) remains a rate-r adversary.
-	rateErr := rv.CheckBudget(600, 4*s)
+	// reroute-charged edges) remains a rate-r adversary, exactly on
+	// every edge.
+	rateErr := rv.Check()
 	phases := []struct {
 		name string
 		n    int
