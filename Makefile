@@ -129,4 +129,5 @@ fuzz:
 	$(GO) test -fuzz FuzzKeyedHeapAgreement -fuzztime 30s ./internal/sim
 	$(GO) test -fuzz FuzzDropPolicy -fuzztime 30s ./internal/sim
 	$(GO) test -fuzz FuzzScenarioLoad -fuzztime 30s ./internal/scenario
+	$(GO) test -fuzz FuzzInjGroup -fuzztime 30s ./internal/scenario
 	$(GO) test -fuzz FuzzCheckpointLoad -fuzztime 30s ./internal/scenario

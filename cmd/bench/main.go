@@ -25,7 +25,9 @@
 // a multicore machine), and the leap-mode pairs (StepLeap/Burst: a
 // periodic burst drain run stepped vs. leaped; RunLeapE13: a Lemma 3.6
 // pump with a long quiet tail, the long-horizon regime RunLeap exists
-// for — the leap entry must beat its step twin by >= 10x).
+// for — the leap entry must beat its step twin by >= 10x), and
+// ScenarioParse/e1 (strict scenario Parse of the largest corpus spec;
+// run from the repository root).
 //
 // Every entry is measured -count times (default 5) and the median run
 // (by ns/op) is recorded, so a single noisy run on a loaded machine
@@ -43,6 +45,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"testing"
@@ -57,6 +60,7 @@ import (
 	"aqt/internal/packet"
 	"aqt/internal/policy"
 	"aqt/internal/rational"
+	"aqt/internal/scenario"
 	"aqt/internal/sim"
 	"aqt/internal/stability"
 )
@@ -486,6 +490,30 @@ func specs() []benchSpec {
 				}
 			})
 			return res, eng.Stats()
+		},
+	})
+
+	// ScenarioParse/e1: strict scenario.Parse of the Theorem 3.17 replay
+	// spec (scenarios/e1.json, ~60k injection groups, read relative to
+	// the working directory, i.e. the repository root), the setup cost
+	// of every run from the scenario corpus.
+	out = append(out, benchSpec{
+		name: "ScenarioParse/e1",
+		run: func() (testing.BenchmarkResult, sim.StepStats) {
+			data, err := os.ReadFile(filepath.Join("scenarios", "e1.json"))
+			if err != nil {
+				panic(fmt.Sprintf("bench: run from the repository root: %v", err))
+			}
+			res := testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(int64(len(data)))
+				for i := 0; i < b.N; i++ {
+					if _, err := scenario.Parse("e1.json", data); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			return res, sim.StepStats{}
 		},
 	})
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 
 	"aqt/internal/adversary"
 	"aqt/internal/graph"
@@ -29,24 +28,45 @@ func Load(path string) (*Spec, error) {
 // are caught at their position, type mismatches via the decoder's byte
 // offset, and semantic violations via the path map recorded during the
 // strict walk.
+//
+// Positions are found only when an error needs them: a valid spec
+// passes the fast walk, one decode and one compile, and only a
+// rejected one is parsed again by parseRecording, which builds the
+// error.
 func Parse(file string, data []byte) (*Spec, error) {
-	lines, err := strictCheck(file, data, reflect.TypeOf(Spec{}))
+	if s := parseFast(file, data); s != nil {
+		return s, nil
+	}
+	return parseRecording(file, data)
+}
+
+// parseFast is Parse's success path: nil when data is not a valid spec.
+func parseFast(file string, data []byte) *Spec {
+	if !fastCheck(data) {
+		return nil
+	}
+	var s Spec
+	if json.Unmarshal(data, &s) != nil {
+		return nil
+	}
+	if _, err := compile(ctx{file: file}, &s); err != nil {
+		return nil
+	}
+	return &s
+}
+
+// parseRecording is the positioned pipeline: the recording walk, then
+// decode and compile, with every error placed by the walk's line map.
+func parseRecording(file string, data []byte) (*Spec, error) {
+	w, err := strictCheck(file, data)
 	if err != nil {
 		return nil, err
 	}
 	var s Spec
 	if err := json.Unmarshal(data, &s); err != nil {
-		li := newLineIndex(data)
-		switch e := err.(type) {
-		case *json.UnmarshalTypeError:
-			return nil, &Error{File: file, Line: li.line(e.Offset), Path: e.Field,
-				Msg: fmt.Sprintf("cannot decode %s into %s", e.Value, e.Type)}
-		case *json.SyntaxError:
-			return nil, &Error{File: file, Line: li.line(e.Offset), Msg: e.Error()}
-		}
-		return nil, &Error{File: file, Line: 1, Msg: err.Error()}
+		return nil, w.decodeError(err)
 	}
-	if _, err := compile(ctx{file: file, lines: lines}, &s); err != nil {
+	if _, err := compile(ctx{file: file, lines: w.at}, &s); err != nil {
 		return nil, err
 	}
 	return &s, nil

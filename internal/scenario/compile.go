@@ -75,6 +75,12 @@ func (c ctx) errf(path, format string, args ...interface{}) error {
 		Msg: fmt.Sprintf(format, args...)}
 }
 
+// elem is the path of element i of the array at path. compile formats
+// a path only for an error it reports, so a valid spec formats none.
+func elem(path string, i int) string {
+	return path + "[" + strconv.Itoa(i) + "]"
+}
+
 // Validate checks the spec completely — structure is assumed (it came
 // from Parse or from Go code), topology bounds, edge references, rate
 // parses, adversary parameter admissibility, run block and check
@@ -105,14 +111,13 @@ func compile(c ctx, s *Spec) (*compiled, error) {
 	if len(s.Policy.Edges) > 0 {
 		out.perEdge = make(map[graph.EdgeID]policy.Policy, len(s.Policy.Edges))
 		for ref, name := range s.Policy.Edges {
-			path := "policy.edges." + ref
 			eid, err := resolveEdge(g, ref)
 			if err != nil {
-				return nil, c.errf(path, "%v", err)
+				return nil, c.errf("policy.edges."+ref, "%v", err)
 			}
 			pol, err := policy.ByName(name)
 			if err != nil {
-				return nil, c.errf(path, "%v", err)
+				return nil, c.errf("policy.edges."+ref, "%v", err)
 			}
 			out.perEdge[eid] = pol
 		}
@@ -148,8 +153,7 @@ func compile(c ctx, s *Spec) (*compiled, error) {
 	// Seeds.
 	var seedTotal int64
 	for i, sd := range s.Seeds {
-		path := fmt.Sprintf("seeds[%d]", i)
-		route, err := resolveRoute(c, g, path+".route", sd.Route)
+		route, err := resolveRoute(c, g, func() string { return elem("seeds", i) + ".route" }, sd.Route)
 		if err != nil {
 			return nil, err
 		}
@@ -158,11 +162,11 @@ func compile(c ctx, s *Spec) (*compiled, error) {
 			n = 1
 		}
 		if n < 0 {
-			return nil, c.errf(path+".n", "seed count must be >= 1, got %d", n)
+			return nil, c.errf(elem("seeds", i)+".n", "seed count must be >= 1, got %d", n)
 		}
 		seedTotal += n
 		if seedTotal > maxSeedTotal {
-			return nil, c.errf(path, "more than %d seed packets in total", maxSeedTotal)
+			return nil, c.errf(elem("seeds", i), "more than %d seed packets in total", maxSeedTotal)
 		}
 		for k := int64(0); k < n; k++ {
 			out.seeds = append(out.seeds, packet.Injection{Route: route, Tag: sd.Tag})
@@ -180,14 +184,13 @@ func compile(c ctx, s *Spec) (*compiled, error) {
 	}
 	seen := map[string]bool{}
 	for i, ob := range s.Run.Observers {
-		path := fmt.Sprintf("run.observers[%d]", i)
 		switch ob {
 		case ObsRecorder, ObsLatency, ObsWindow, ObsMeter, ObsSampler, ObsSpans:
 		default:
-			return nil, c.errf(path, "unknown observer %q (recorder|latency|window|meter|sampler|spans)", ob)
+			return nil, c.errf(elem("run.observers", i), "unknown observer %q (recorder|latency|window|meter|sampler|spans)", ob)
 		}
 		if seen[ob] {
-			return nil, c.errf(path, "duplicate observer %q", ob)
+			return nil, c.errf(elem("run.observers", i), "duplicate observer %q", ob)
 		}
 		seen[ob] = true
 	}
@@ -305,23 +308,25 @@ func resolveEdge(g *graph.Graph, ref string) (graph.EdgeID, error) {
 	return graph.NoEdge, fmt.Errorf("unknown edge %q", ref)
 }
 
-func resolveRoute(c ctx, g *graph.Graph, path string, refs []string) ([]graph.EdgeID, error) {
+// resolveRoute resolves a route; path, called only to report an error,
+// is the route's JSON path.
+func resolveRoute(c ctx, g *graph.Graph, path func() string, refs []string) ([]graph.EdgeID, error) {
 	if len(refs) == 0 {
-		return nil, c.errf(path, "route must not be empty")
+		return nil, c.errf(path(), "route must not be empty")
 	}
 	if len(refs) > maxRouteLen {
-		return nil, c.errf(path, "route longer than %d edges", maxRouteLen)
+		return nil, c.errf(path(), "route longer than %d edges", maxRouteLen)
 	}
 	route := make([]graph.EdgeID, len(refs))
 	for i, ref := range refs {
 		eid, err := resolveEdge(g, ref)
 		if err != nil {
-			return nil, c.errf(fmt.Sprintf("%s[%d]", path, i), "%v", err)
+			return nil, c.errf(elem(path(), i), "%v", err)
 		}
 		route[i] = eid
 	}
 	if !g.IsSimplePath(route) {
-		return nil, c.errf(path, "route %v is not a simple path in the topology", refs)
+		return nil, c.errf(path(), "route %v is not a simple path in the topology", refs)
 	}
 	return route, nil
 }
@@ -369,22 +374,22 @@ func compileAdversary(c ctx, g *graph.Graph, path string, a AdversarySpec, allow
 		}
 		streams := make([]adversary.Stream, len(a.Streams))
 		for i, ss := range a.Streams {
-			p := fmt.Sprintf("%s.streams[%d]", path, i)
+			p := func() string { return elem(path+".streams", i) }
 			if ss.Start < 0 {
-				return nil, c.errf(p+".start", "start must be >= 0, got %d", ss.Start)
+				return nil, c.errf(p()+".start", "start must be >= 0, got %d", ss.Start)
 			}
 			rate, err := rational.Parse(ss.Rate)
 			if err != nil {
-				return nil, c.errf(p+".rate", "%v", err)
+				return nil, c.errf(p()+".rate", "%v", err)
 			}
-			route, err := resolveRoute(c, g, p+".route", ss.Route)
+			route, err := resolveRoute(c, g, func() string { return p() + ".route" }, ss.Route)
 			if err != nil {
 				return nil, err
 			}
 			st := adversary.Stream{Name: ss.Name, Start: ss.Start, Rate: rate,
 				Budget: ss.Budget, Route: route, Tag: ss.Tag}
 			if err := adversary.CheckStream(st); err != nil {
-				return nil, c.errf(p, "%v", err)
+				return nil, c.errf(p(), "%v", err)
 			}
 			streams[i] = st
 		}
@@ -399,21 +404,21 @@ func compileAdversary(c ctx, g *graph.Graph, path string, a AdversarySpec, allow
 		}
 		bursts := make([]adversary.BurstStream, len(a.Bursts))
 		for i, bs := range a.Bursts {
-			p := fmt.Sprintf("%s.bursts[%d]", path, i)
+			p := func() string { return elem(path+".bursts", i) }
 			if bs.Start < 0 {
-				return nil, c.errf(p+".start", "start must be >= 0, got %d", bs.Start)
+				return nil, c.errf(p()+".start", "start must be >= 0, got %d", bs.Start)
 			}
 			if bs.Burst > maxSeedTotal {
-				return nil, c.errf(p+".burst", "burst larger than %d", maxSeedTotal)
+				return nil, c.errf(p()+".burst", "burst larger than %d", maxSeedTotal)
 			}
-			route, err := resolveRoute(c, g, p+".route", bs.Route)
+			route, err := resolveRoute(c, g, func() string { return p() + ".route" }, bs.Route)
 			if err != nil {
 				return nil, err
 			}
 			st := adversary.BurstStream{Name: bs.Name, Start: bs.Start, Period: bs.Period,
 				Burst: bs.Burst, Budget: bs.Budget, Route: route, Tag: bs.Tag}
 			if err := adversary.CheckBurstStream(st); err != nil {
-				return nil, c.errf(p, "%v", err)
+				return nil, c.errf(p(), "%v", err)
 			}
 			bursts[i] = st
 		}
@@ -461,8 +466,7 @@ func compileAdversary(c ctx, g *graph.Graph, path string, a AdversarySpec, allow
 		rp := a.Replay
 		routes := make([][]graph.EdgeID, len(rp.Routes))
 		for i, refs := range rp.Routes {
-			p := fmt.Sprintf("%s.replay.routes[%d]", path, i)
-			route, err := resolveRoute(c, g, p, refs)
+			route, err := resolveRoute(c, g, func() string { return elem(path+".replay.routes", i) }, refs)
 			if err != nil {
 				return nil, err
 			}
@@ -470,22 +474,22 @@ func compileAdversary(c ctx, g *graph.Graph, path string, a AdversarySpec, allow
 		}
 		var total int64
 		for i, gr := range rp.Injections {
-			p := fmt.Sprintf("%s.replay.injections[%d]", path, i)
+			p := func() string { return elem(path+".replay.injections", i) }
 			if gr.T < 1 {
-				return nil, c.errf(p, "injection step must be >= 1 (step 0 packets are seeds), got %d", gr.T)
+				return nil, c.errf(p(), "injection step must be >= 1 (step 0 packets are seeds), got %d", gr.T)
 			}
 			if gr.Route < 0 || gr.Route >= len(routes) {
-				return nil, c.errf(p, "route index %d out of range [0,%d)", gr.Route, len(routes))
+				return nil, c.errf(p(), "route index %d out of range [0,%d)", gr.Route, len(routes))
 			}
 			if gr.N < 1 {
-				return nil, c.errf(p, "injection count must be >= 1, got %d", gr.N)
+				return nil, c.errf(p(), "injection count must be >= 1, got %d", gr.N)
 			}
 			if gr.Tag < 0 || gr.Tag > len(rp.Tags) {
-				return nil, c.errf(p, "tag index %d out of range [0,%d] (0 = untagged)", gr.Tag, len(rp.Tags))
+				return nil, c.errf(p(), "tag index %d out of range [0,%d] (0 = untagged)", gr.Tag, len(rp.Tags))
 			}
 			total += gr.N
 			if total > maxReplayPkts {
-				return nil, c.errf(p, "more than %d replayed packets in total", maxReplayPkts)
+				return nil, c.errf(p(), "more than %d replayed packets in total", maxReplayPkts)
 			}
 		}
 		injections := rp.Injections
@@ -523,7 +527,7 @@ func compileAdversary(c ctx, g *graph.Graph, path string, a AdversarySpec, allow
 		phases := make([]phase, len(a.Phases))
 		prev := int64(0)
 		for i, ps := range a.Phases {
-			p := fmt.Sprintf("%s.phases[%d]", path, i)
+			p := elem(path+".phases", i)
 			if ps.Until <= prev {
 				return nil, c.errf(p+".until", "phase untils must be strictly increasing and >= 1, got %d after %d", ps.Until, prev)
 			}

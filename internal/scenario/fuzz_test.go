@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"bytes"
-	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,9 +12,11 @@ import (
 // decode → compile), seeded from every checked-in scenario plus a few
 // hand-picked rejects. The contract: any byte string is either
 // rejected with a positioned *Error or decodes to a spec that survives
-// an Encode → Parse round trip unchanged. Parse must never panic —
-// topology builders and adversary constructors are recover-guarded in
-// the compiler, and the fuzzer holds them to it.
+// an Encode → Parse round trip unchanged, and Parse agrees with the
+// recording pipeline (same accept or reject, equal spec, identical
+// *Error). Parse must never panic — topology builders and adversary
+// constructors are recover-guarded in the compiler, and the fuzzer
+// holds them to it.
 func FuzzScenarioLoad(f *testing.F) {
 	corpus, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
 	if err != nil {
@@ -59,12 +60,8 @@ func FuzzScenarioLoad(f *testing.F) {
   "buffer": {"cap": 0, "drop": "tail"}, "run": {"steps": 10}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := Parse("fuzz.json", data)
+		s, err := checkAgree(t, "fuzz.json", data)
 		if err != nil {
-			var se *Error
-			if !errors.As(err, &se) {
-				t.Fatalf("rejection is %T, want *Error: %v", err, err)
-			}
 			return
 		}
 		// Accepted: Load∘Emit must be a fixed point. Encode the decoded

@@ -184,8 +184,15 @@ func (gr InjGroup) MarshalJSON() ([]byte, error) {
 	return []byte(fmt.Sprintf("[%d,%d,%d,%d]", gr.T, gr.Route, gr.N, gr.Tag)), nil
 }
 
-// UnmarshalJSON implements json.Unmarshaler.
+// UnmarshalJSON implements json.Unmarshaler. The canonical form, four
+// JSON integers, is scanned directly; anything else (null, floats,
+// strings, exponents, overflow, another length) takes json.Unmarshal
+// into []int64, so both paths accept, reject and decode alike.
 func (gr *InjGroup) UnmarshalJSON(b []byte) error {
+	if a, ok := scanGroup(b); ok {
+		gr.T, gr.Route, gr.N, gr.Tag = a[0], int(a[1]), a[2], int(a[3])
+		return nil
+	}
 	var a []int64
 	if err := json.Unmarshal(b, &a); err != nil {
 		return err
@@ -195,6 +202,69 @@ func (gr *InjGroup) UnmarshalJSON(b []byte) error {
 	}
 	gr.T, gr.Route, gr.N, gr.Tag = a[0], int(a[1]), a[2], int(a[3])
 	return nil
+}
+
+// scanGroup parses b as a JSON array of exactly four integers in int64
+// range, whitespace allowed; ok is false for any other input.
+func scanGroup(b []byte) (a [4]int64, ok bool) {
+	i := skipSpace(b, 0)
+	if i == len(b) || b[i] != '[' {
+		return a, false
+	}
+	for k := range a {
+		if a[k], i, ok = scanInt(b, skipSpace(b, i+1)); !ok {
+			return a, false
+		}
+		i = skipSpace(b, i)
+		want := byte(',')
+		if k == len(a)-1 {
+			want = ']'
+		}
+		if i == len(b) || b[i] != want {
+			return a, false
+		}
+	}
+	return a, skipSpace(b, i+1) == len(b)
+}
+
+// scanInt parses the JSON integer -?(0|[1-9][0-9]*) at b[i:], returning
+// its value and end; ok is false if there is none or it overflows
+// int64. A fraction or exponent that follows is left for the caller to
+// reject.
+func scanInt(b []byte, i int) (v int64, end int, ok bool) {
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	start := i
+	var u uint64
+	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+		u = u*10 + uint64(b[i]-'0')
+	}
+	n := i - start
+	// 19 digits cannot wrap a uint64; int64 needs at most 19.
+	if n == 0 || n > 19 || (n > 1 && b[start] == '0') {
+		return 0, i, false
+	}
+	if neg {
+		if u > 1<<63 {
+			return 0, i, false
+		}
+		return int64(-u), i, true
+	}
+	if u > 1<<63-1 {
+		return 0, i, false
+	}
+	return int64(u), i, true
+}
+
+// skipSpace returns the index of the first non-whitespace byte of b at
+// or after i.
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
 }
 
 // PhaseSpec is one temporal phase of a sequence adversary: its inner

@@ -60,39 +60,72 @@ func (li lineIndex) line(off int64) int {
 	return n
 }
 
-var unmarshalerType = reflect.TypeOf((*json.Unmarshaler)(nil)).Elem()
+var (
+	unmarshalerType = reflect.TypeOf((*json.Unmarshaler)(nil)).Elem()
+	injGroupType    = reflect.TypeOf(InjGroup{})
+	specType        = reflect.TypeOf(Spec{})
+)
 
 // walker walks the JSON token stream against the Spec's type
-// structure, recording the line of every path and rejecting unknown
-// object fields at their position.
+// structure, rejecting unknown and duplicate object fields at their
+// position. It runs in one of two modes:
+//
+//   - the fast walk (at == nil) records nothing, formats no paths and
+//     skips leaf-only subtrees (see skippable) as single raw values;
+//   - the recording walk maps every path to its line and positions its
+//     own errors, for the error path of Parse.
+//
+// A subtree the fast walk skips decodes into a type that rejects any
+// object, so the fast walk followed by json.Unmarshal accepts exactly
+// what the recording walk followed by json.Unmarshal accepts.
 type walker struct {
 	dec   *json.Decoder
-	lines lineIndex
+	data  []byte
 	file  string
-	at    map[string]int // path → line
+	lines lineIndex      // recording walk only
+	at    map[string]int // path → line; recording walk only
+	// badGroup is the first injection group, in file order, that
+	// InjGroup.UnmarshalJSON rejects (recording walk only).
+	badGroup *Error
 }
 
-// strictCheck validates data's structure against root's JSON shape:
-// well-formed JSON, no unknown fields anywhere, no trailing data. It
-// returns the path → line map used to position later semantic errors.
-// Types implementing json.Unmarshaler (and interface{} fields) accept
-// any well-formed subtree.
-func strictCheck(file string, data []byte, root reflect.Type) (map[string]int, error) {
-	w := &walker{
-		dec:   json.NewDecoder(bytes.NewReader(data)),
-		lines: newLineIndex(data),
-		file:  file,
-		at:    map[string]int{},
-	}
+func newWalker(data []byte) *walker {
+	w := &walker{dec: json.NewDecoder(bytes.NewReader(data)), data: data}
 	w.dec.UseNumber()
-	if err := w.value("", root); err != nil {
+	return w
+}
+
+// fastCheck is the fast walk over data: well-formed JSON, no unknown
+// or duplicate fields, no trailing data. It reports only whether data
+// passes.
+func fastCheck(data []byte) bool {
+	w := newWalker(data)
+	return w.value("", specType) == nil && w.trailing() == nil
+}
+
+// strictCheck is the recording walk: it validates data's structure
+// like fastCheck, and returns the walker, whose path → line map
+// positions later semantic errors. Types implementing json.Unmarshaler
+// (and interface{} fields) accept any well-formed subtree.
+func strictCheck(file string, data []byte) (*walker, error) {
+	w := newWalker(data)
+	w.file, w.lines, w.at = file, newLineIndex(data), map[string]int{}
+	if err := w.value("", specType); err != nil {
 		return nil, err
 	}
+	if err := w.trailing(); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+// trailing rejects anything after the root value.
+func (w *walker) trailing() error {
 	if _, err := w.dec.Token(); err != io.EOF {
-		return nil, &Error{File: file, Line: w.lines.line(w.dec.InputOffset()),
+		return &Error{File: w.file, Line: w.lines.line(w.dec.InputOffset()),
 			Msg: "trailing data after the spec object"}
 	}
-	return w.at, nil
+	return nil
 }
 
 func (w *walker) errf(path string, format string, args ...interface{}) error {
@@ -100,9 +133,60 @@ func (w *walker) errf(path string, format string, args ...interface{}) error {
 		Path: path, Msg: fmt.Sprintf(format, args...)}
 }
 
+// field is the path of object key below path, and index that of array
+// element i. The fast walk keeps no paths.
+func (w *walker) field(path, key string) string {
+	if w.at == nil || path == "" {
+		return key
+	}
+	return path + "." + key
+}
+
+func (w *walker) index(path string, i int) string {
+	if w.at == nil {
+		return ""
+	}
+	return fmt.Sprintf("%s[%d]", path, i)
+}
+
+// skipValue is a json.Unmarshaler that discards its value: decoding
+// into it consumes one well-formed JSON value unread.
+type skipValue struct{}
+
+func (*skipValue) UnmarshalJSON([]byte) error { return nil }
+
+// skippable reports whether the fast walk may consume a value of typ
+// as one raw value: an array type with no struct or map below it
+// ([][]string routes, []InjGroup, []string). Every such type rejects
+// an object at decode time, so an object the walk did not check makes
+// json.Unmarshal fail and sends Parse down the recording path.
+func skippable(typ reflect.Type) bool {
+	for typ != nil && typ.Kind() == reflect.Ptr {
+		typ = typ.Elem()
+	}
+	return typ != nil && (typ.Kind() == reflect.Slice || typ.Kind() == reflect.Array) && leafOnly(typ)
+}
+
+// leafOnly reports whether typ's JSON form holds no object.
+func leafOnly(typ reflect.Type) bool {
+	switch typ.Kind() {
+	case reflect.Ptr, reflect.Slice, reflect.Array:
+		return leafOnly(typ.Elem())
+	case reflect.Struct:
+		return typ == injGroupType // an array of four integers
+	case reflect.Map, reflect.Interface:
+		return false
+	}
+	return true
+}
+
 // value consumes one JSON value at path, expected to decode into typ
 // (nil = accept anything).
 func (w *walker) value(path string, typ reflect.Type) error {
+	if w.at == nil && skippable(typ) {
+		return w.dec.Decode(&skipValue{})
+	}
+	start := w.dec.InputOffset()
 	tok, err := w.dec.Token()
 	if err != nil {
 		if err == io.EOF {
@@ -110,17 +194,60 @@ func (w *walker) value(path string, typ reflect.Type) error {
 		}
 		return w.errf(path, "%v", err)
 	}
-	w.at[path] = w.lines.line(w.dec.InputOffset())
+	if w.at != nil {
+		w.at[path] = w.lines.line(w.dec.InputOffset())
+	}
+	group := typ == injGroupType
 	typ = derefType(typ)
 	if d, ok := tok.(json.Delim); ok {
 		switch d {
 		case '{':
-			return w.object(path, typ)
+			err = w.object(path, typ)
 		case '[':
-			return w.array(path, typ)
+			err = w.array(path, typ)
 		}
 	}
-	return nil // scalar; type mismatches surface via json.Unmarshal below
+	if err == nil && group && w.at != nil {
+		w.checkGroup(path, start)
+	}
+	return err // scalar type mismatches surface via json.Unmarshal below
+}
+
+// checkGroup decodes the injection group at path, which began after
+// byte offset start, and keeps the first failure with the group's own
+// position: json.Unmarshal stops at that same group with that same
+// error, but can only place it relative to the group's bytes.
+func (w *walker) checkGroup(path string, start int64) {
+	if w.badGroup != nil {
+		return
+	}
+	raw := bytes.TrimLeft(w.data[start:w.dec.InputOffset()], " \t\r\n,")
+	var gr InjGroup
+	if err := gr.UnmarshalJSON(raw); err != nil {
+		w.badGroup = &Error{File: w.file, Line: w.at[path], Path: path, Msg: decodeMsg(err)}
+	}
+}
+
+// decodeError positions a json.Unmarshal failure of the walked data.
+func (w *walker) decodeError(err error) *Error {
+	if w.badGroup != nil {
+		return w.badGroup
+	}
+	switch e := err.(type) {
+	case *json.UnmarshalTypeError:
+		return &Error{File: w.file, Line: w.lines.line(e.Offset), Path: e.Field, Msg: decodeMsg(e)}
+	case *json.SyntaxError:
+		return &Error{File: w.file, Line: w.lines.line(e.Offset), Msg: e.Error()}
+	}
+	return &Error{File: w.file, Line: 1, Msg: err.Error()}
+}
+
+// decodeMsg is the message of a decode failure.
+func decodeMsg(err error) string {
+	if e, ok := err.(*json.UnmarshalTypeError); ok {
+		return fmt.Sprintf("cannot decode %s into %s", e.Value, e.Type)
+	}
+	return err.Error()
 }
 
 // derefType unwraps pointers and turns wildcard-ish types into nil.
@@ -157,10 +284,7 @@ func (w *walker) object(path string, typ reflect.Type) error {
 			return w.errf(path, "%v", err)
 		}
 		key, _ := tok.(string)
-		childPath := key
-		if path != "" {
-			childPath = path + "." + key
-		}
+		childPath := w.field(path, key)
 		if seen[key] {
 			return &Error{File: w.file, Line: w.lines.line(w.dec.InputOffset()),
 				Path: childPath, Msg: fmt.Sprintf("duplicate field %q", key)}
@@ -197,7 +321,7 @@ func (w *walker) array(path string, typ reflect.Type) error {
 		elem = typ.Elem()
 	}
 	for i := 0; w.dec.More(); i++ {
-		if err := w.value(fmt.Sprintf("%s[%d]", path, i), elem); err != nil {
+		if err := w.value(w.index(path, i), elem); err != nil {
 			return err
 		}
 	}

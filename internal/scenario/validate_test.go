@@ -230,6 +230,38 @@ func TestParseErrors(t *testing.T) {
 			"adversary.streams[0].route", 7, "not a simple path")
 	})
 
+	// A malformed injection group is placed at the group itself, not at
+	// its byte offset within the group.
+	const replayGroups = `{
+  "version": 1,
+  "name": "t",
+  "topology": {"kind": "ring", "n": 4},
+  "policy": {"default": "FIFO"},
+  "adversary": {
+    "kind": "replay",
+    "replay": {
+      "routes": [["e1"]],
+      "injections": [
+        [1, 0, 1, 0],
+        [2, 0, 1, 0],
+        [2, 0, 1.5, 0]
+      ]
+    }
+  },
+  "run": {"steps": 10}
+}
+`
+	t.Run("fractional count in injection group", func(t *testing.T) {
+		specErr(t, replayGroups, "adversary.replay.injections[2]", 13,
+			"cannot decode number 1.5 into int64")
+	})
+
+	t.Run("short injection group", func(t *testing.T) {
+		specErr(t, strings.Replace(replayGroups, `[2, 0, 1.5, 0]`, `[2, 0, 1]`, 1),
+			"adversary.replay.injections[2]", 13,
+			"injection group needs [t, route, n, tag], got 3 elements")
+	})
+
 	t.Run("negative buffer cap", func(t *testing.T) {
 		specErr(t, strings.Replace(validBase, `"adversary": {"kind": "none"}`,
 			`"adversary": {"kind": "none"},
