@@ -59,11 +59,19 @@ trace-smoke:
 	$(GO) run ./cmd/aqtsim -topo geps -size 4 -policy FIFO -w 20 -rate 1/4 -steps 2000 -trace /tmp/aqt-trace-smoke.jsonl -metrics
 
 # Leap-mode end-to-end smoke: the leap-vs-step differential tests plus
-# a long cmd/aqtsim run under the extremal burst adversary with -leap,
-# whose output (modulo ns/step) must match the stepped run exactly.
+# a long cmd/aqtsim run under the extremal burst adversary, stepped and
+# with -leap. The two outputs must match exactly once the leap-window
+# line and the wall-clock ns/step figure are removed.
+LEAP_SMOKE_RUN = $(GO) run ./cmd/aqtsim -topo line -size 8 -adv burst -w 512 -rate 1/4 -maxlen 3 -steps 100000
 leap-smoke:
 	$(GO) test ./internal/sim -run 'Leap' -count 1
-	$(GO) run ./cmd/aqtsim -topo line -size 8 -adv burst -w 512 -rate 1/4 -maxlen 3 -steps 100000 -leap
+	$(LEAP_SMOKE_RUN) > /tmp/aqt-leap-smoke.step
+	$(LEAP_SMOKE_RUN) -leap > /tmp/aqt-leap-smoke.leap
+	grep -q '^leap: ' /tmp/aqt-leap-smoke.leap
+	for m in step leap; do \
+		sed -e '/^leap: /d' -e 's/, [0-9]* ns\/step$$//' /tmp/aqt-leap-smoke.$$m > /tmp/aqt-leap-smoke.$$m.cmp || exit 1; \
+	done
+	diff /tmp/aqt-leap-smoke.step.cmp /tmp/aqt-leap-smoke.leap.cmp
 
 # Scenario end-to-end smoke: strict-validate every checked-in spec,
 # then build and run them all across the worker pool. Exit nonzero on
@@ -122,12 +130,16 @@ telemetry-smoke:
 	echo "telemetry-smoke: live endpoints ok"
 	$(GO) run ./cmd/aqtsim -topo line -size 8 -adv burst -w 64 -rate 1/4 -steps 4000 -sample-every 16 -spans 1 -trace /tmp/aqt-telemetry-smoke.jsonl
 
+# Each fuzz target for 30 s. FuzzScenarioLoad seeds from the whole
+# corpus, including the 1.5 MB scenarios/e1.json; minimizing a mutant
+# of that seed costs seconds per execution and stalls the workers, so
+# its minimization is capped at 5 executions per input.
 fuzz:
 	$(GO) test -fuzz FuzzPathCheck -fuzztime 30s ./internal/graph
 	$(GO) test -fuzz FuzzRandomWRWindow -fuzztime 30s ./internal/adversary
 	$(GO) test -fuzz FuzzRateScan -fuzztime 30s ./internal/adversary
 	$(GO) test -fuzz FuzzKeyedHeapAgreement -fuzztime 30s ./internal/sim
 	$(GO) test -fuzz FuzzDropPolicy -fuzztime 30s ./internal/sim
-	$(GO) test -fuzz FuzzScenarioLoad -fuzztime 30s ./internal/scenario
+	$(GO) test -fuzz FuzzScenarioLoad -fuzztime 30s -fuzzminimizetime 5x ./internal/scenario
 	$(GO) test -fuzz FuzzInjGroup -fuzztime 30s ./internal/scenario
 	$(GO) test -fuzz FuzzCheckpointLoad -fuzztime 30s ./internal/scenario

@@ -151,8 +151,6 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 			if err != nil {
 				return runResult{report: "scenario run: " + err.Error() + "\n", failed: true}
 			}
-		case *restore != "":
-			out = b.RunRemaining()
 		default:
 			out = b.Run()
 		}
@@ -252,8 +250,6 @@ func cmdRunServe(path, addr string, hold bool, sampleEvery int64, restore string
 			fmt.Fprintln(stderr, "scenario run: "+err.Error())
 			return 1
 		}
-	case restore != "":
-		out = b.RunRemaining()
 	default:
 		out = b.Run()
 	}

@@ -10,6 +10,19 @@ import (
 	"aqt/internal/sim"
 )
 
+// injLog is a test event observer recording each injection's time and
+// route length.
+type injLog struct{ injs []injRecord }
+
+type injRecord struct {
+	t    int64
+	hops int
+}
+
+func (l *injLog) OnInject(t int64, p *packet.Packet) {
+	l.injs = append(l.injs, injRecord{t, len(p.Route)})
+}
+
 func rt(g *graph.Graph, names ...string) []graph.EdgeID {
 	r := make([]graph.EdgeID, len(names))
 	for i, n := range names {
@@ -73,11 +86,11 @@ func TestStreamRouteFn(t *testing.T) {
 	})
 	var routes []int
 	e := sim.New(g, fifo(), s)
-	tr := &sim.Tracer{}
-	e.AddObserver(tr)
+	log := &injLog{}
+	e.AddEventObserver(log)
 	e.Run(6)
-	for _, ev := range tr.Events() {
-		routes = append(routes, len(ev.Route))
+	for _, inj := range log.injs {
+		routes = append(routes, inj.hops)
 	}
 	want := []int{1, 1, 2, 2}
 	if len(routes) != 4 {
@@ -382,16 +395,15 @@ func TestObservation44Equivalence(t *testing.T) {
 
 	transformed := Observation44(streams, seeds)
 	e := sim.New(g, fifo(), transformed)
-	tr := &sim.Tracer{}
-	e.AddObserver(tr)
+	log := &injLog{}
+	e.AddEventObserver(log)
 	e.Run(15)
 	if e.Injected() != 6 {
 		t.Fatalf("injected %d, want 6", e.Injected())
 	}
-	evs := tr.Events()
 	seedCount := 0
-	for _, ev := range evs {
-		if ev.T == 1 && len(ev.Route) == 1 {
+	for _, inj := range log.injs {
+		if inj.t == 1 && inj.hops == 1 {
 			seedCount++
 		}
 	}
@@ -401,9 +413,9 @@ func TestObservation44Equivalence(t *testing.T) {
 	// Original stream injects at steps where floor(t/2) increments:
 	// 2,4,6,8. Shifted: 3,5,7,9.
 	var streamTimes []int64
-	for _, ev := range evs {
-		if len(ev.Route) == 2 {
-			streamTimes = append(streamTimes, ev.T)
+	for _, inj := range log.injs {
+		if inj.hops == 2 {
+			streamTimes = append(streamTimes, inj.t)
 		}
 	}
 	want := []int64{3, 5, 7, 9}

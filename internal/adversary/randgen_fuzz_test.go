@@ -38,7 +38,7 @@ func FuzzRandomWRWindow(f *testing.F) {
 		wv := NewWindowValidator(w, rate)
 		e := sim.New(g, policy.FIFO{}, gen)
 		e.AddObserver(wv)
-		e.RunQuiet(int64(steps))
+		e.Run(int64(steps))
 		if err := wv.Check(); err != nil {
 			t.Fatalf("w=%d r=%v: ring admission violated the (w,r) window constraint: %v",
 				w, rate, err)

@@ -54,7 +54,7 @@ func H1Heterogeneous(q Quick) *Table {
 // target after 2S+n steps.
 func runHeteroPump(p core.Params, s int64, hetero bool) int64 {
 	c, e := HeteroPumpEngine(p, s, hetero)
-	e.RunQuiet(2*s + int64(p.N))
+	e.Run(2*s + int64(p.N))
 	rep := c.CheckInvariant(e, 2, true)
 	goodE := int64(rep.ETotal - rep.BadERoutes)
 	if int64(rep.AQueue) < goodE {

@@ -206,10 +206,9 @@ func E9Observation44(q Quick) *Table {
 		transformed := adversary.Observation44(streams, seeds)
 		wv := adversary.NewWindowValidator(wStar, rStar)
 		e := sim.New(g, policy.FIFO{}, transformed)
-		e.AddObserver(wv)
-		// The validator only listens to injection/reroute events, which
-		// RunQuiet still delivers; skip the no-op OnStep dispatch.
-		e.RunQuiet(40 * s)
+		// The validator only listens to injection/reroute events.
+		e.AddEventObserver(wv)
+		e.Run(40 * s)
 		winErr := wv.Check()
 
 		// Corollary 4.5: residence bound for greedy schedules started

@@ -6,8 +6,8 @@
 //
 // The design constraint throughout is that instrumentation must not
 // give back the zero-alloc hot path: FlightRecorder registers via
-// sim.Engine.AddEventObserver (event interfaces only), so Run keeps
-// its observerless fast path, and recording one event is a fixed-size
+// sim.Engine.AddEventObserver (event interfaces only), so it stays out
+// of the per-step OnStep dispatch, and recording one event is a fixed-size
 // struct store into a preallocated ring — no allocation, no
 // formatting. Formatting happens only at dump time.
 package obs
@@ -81,8 +81,8 @@ type Event struct {
 
 // FlightRecorder is a fixed-capacity keep-latest ring of Events. It
 // implements every sim event-observer interface; register it with
-// sim.Engine.AddEventObserver so the engine's observerless Run fast
-// path stays intact. Recording is O(1) and allocation-free.
+// sim.Engine.AddEventObserver so it stays out of the engine's per-step
+// OnStep dispatch. Recording is O(1) and allocation-free.
 //
 // On OnFailure (an invariant violation reported through
 // sim.Engine.NotifyFailure or CheckConservation) the recorder appends

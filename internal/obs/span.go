@@ -155,8 +155,8 @@ type SpanConfig struct {
 
 // SpanTracer records Spans for a sampled subset of packets. Register
 // it with sim.Engine.AddEventObserver via Attach — it implements only
-// event interfaces, so the engine's observerless step fast path stays
-// intact, and recording is allocation-free (fixed-size span slots,
+// event interfaces, so it stays out of the engine's per-step OnStep
+// dispatch, and recording is allocation-free (fixed-size span slots,
 // preallocated tables). Hop waits feed per-edge residence histograms
 // in a private registry (names "span.edge_wait.<edge>").
 type SpanTracer struct {

@@ -187,26 +187,51 @@ type Outcome struct {
 // OK reports whether every requested check passed.
 func (o Outcome) OK() bool { return len(o.Failures) == 0 }
 
-// Run executes the spec's run block (steps, mode) and evaluates its
-// checks. Wall-clock nanoseconds are zeroed out of the snapshot so an
-// Outcome is comparable across runs and machines.
+// Run executes the spec's run block under its own mode and evaluates
+// its checks (see RunMode).
 func (b *Built) Run() Outcome { return b.RunMode(b.Spec.Run.Mode) }
 
 // RunMode is Run under an explicit mode override ("", "step", "quiet"
 // or "leap") — the hook the differential matrix uses to hold one spec
-// to the same execution under all three engines paths.
+// to the same execution under every mode. It runs the spec's steps
+// left after the engine's current step (all of them on a fresh build,
+// the rest of the run on a restored one) and evaluates the checks. It
+// panics on an unknown mode.
 func (b *Built) RunMode(mode string) Outcome {
-	steps := b.Spec.Run.Steps
+	out, err := b.runSegments(mode, 0, nil)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// runSegments is the one run path of a built scenario: it runs the
+// spec's steps left after the engine's current step under mode, in
+// segments of every steps (every < 1: one segment), calling after at
+// the end of each segment, then builds the Outcome. Wall-clock
+// nanoseconds are zeroed out of the snapshot so an Outcome is
+// comparable across runs and machines.
+func (b *Built) runSegments(mode string, every int64, after func(done int64) error) (Outcome, error) {
 	switch mode {
-	case "", ModeStep:
+	case "":
 		mode = ModeStep
-		b.Engine.Run(steps)
-	case ModeQuiet:
-		b.Engine.RunQuiet(steps)
-	case ModeLeap:
-		b.Engine.RunLeap(steps)
+	case ModeStep, ModeQuiet, ModeLeap:
 	default:
-		panic(fmt.Sprintf("scenario: unknown run mode %q", mode))
+		return Outcome{}, fmt.Errorf("scenario: unknown run mode %q", mode)
+	}
+	steps := b.Spec.Run.Steps
+	for done := b.Engine.Now(); done < steps; {
+		seg := steps - done
+		if every > 0 && every < seg {
+			seg = every
+		}
+		b.advance(mode, seg)
+		done += seg
+		if after != nil {
+			if err := after(done); err != nil {
+				return Outcome{}, err
+			}
+		}
 	}
 	out := Outcome{
 		Mode:         mode,
@@ -216,7 +241,18 @@ func (b *Built) RunMode(mode string) Outcome {
 	}
 	out.Snap.Stats.Nanos = 0
 	out.Failures = b.evalChecks()
-	return out
+	return out, nil
+}
+
+// advance runs the engine n steps under a valid mode. "quiet" is an
+// alias of "step", kept for spec compatibility: both run Engine.Run,
+// which dispatches every configured observer.
+func (b *Built) advance(mode string, n int64) {
+	if mode == ModeLeap {
+		b.Engine.RunLeap(n)
+	} else {
+		b.Engine.Run(n)
+	}
 }
 
 // evalChecks runs the spec's post-run assertions, returning one

@@ -254,76 +254,11 @@ func (b *Built) RunCheckpointed(mode string, every int64, save func(cp *Checkpoi
 	if every < 1 {
 		return Outcome{}, fmt.Errorf("scenario: checkpoint interval %d < 1", every)
 	}
-	if mode == "" {
-		mode = ModeStep
-	}
-	steps := b.Spec.Run.Steps
-	for done := b.Engine.Now(); done < steps; {
-		seg := every
-		if left := steps - done; seg > left {
-			seg = left
-		}
-		switch mode {
-		case ModeStep:
-			b.Engine.Run(seg)
-		case ModeQuiet:
-			b.Engine.RunQuiet(seg)
-		case ModeLeap:
-			b.Engine.RunLeap(seg)
-		default:
-			return Outcome{}, fmt.Errorf("scenario: unknown run mode %q", mode)
-		}
-		done += seg
+	return b.runSegments(mode, every, func(done int64) error {
 		cp, err := b.Checkpoint()
-		if err != nil {
-			return Outcome{}, err
+		if err != nil || save == nil {
+			return err
 		}
-		if save != nil {
-			if err := save(cp, done); err != nil {
-				return Outcome{}, err
-			}
-		}
-	}
-	out := Outcome{
-		Mode:         mode,
-		Snap:         b.Engine.Snap(),
-		Leaps:        b.Engine.Leaps(),
-		MaxResidence: b.Engine.MaxResidence(true),
-	}
-	out.Snap.Stats.Nanos = 0
-	out.Failures = b.evalChecks()
-	return out, nil
-}
-
-// RunRemaining finishes a restored run: it executes the spec's
-// configured steps minus the engine's current step under the spec's
-// mode, then evaluates checks exactly as Run does.
-func (b *Built) RunRemaining() Outcome {
-	mode := b.Spec.Run.Mode
-	if mode == "" {
-		mode = ModeStep
-	}
-	left := b.Spec.Run.Steps - b.Engine.Now()
-	if left < 0 {
-		left = 0
-	}
-	switch mode {
-	case ModeStep:
-		b.Engine.Run(left)
-	case ModeQuiet:
-		b.Engine.RunQuiet(left)
-	case ModeLeap:
-		b.Engine.RunLeap(left)
-	default:
-		panic(fmt.Sprintf("scenario: unknown run mode %q", mode))
-	}
-	out := Outcome{
-		Mode:         mode,
-		Snap:         b.Engine.Snap(),
-		Leaps:        b.Engine.Leaps(),
-		MaxResidence: b.Engine.MaxResidence(true),
-	}
-	out.Snap.Stats.Nanos = 0
-	out.Failures = b.evalChecks()
-	return out
+		return save(cp, done)
+	})
 }

@@ -28,24 +28,6 @@ func buildFresh(t *testing.T, base *Spec) *Built {
 	return b
 }
 
-// runSegment advances b.Engine by n steps under mode.
-func runSegment(t *testing.T, b *Built, mode string, n int64) {
-	t.Helper()
-	if n == 0 {
-		return
-	}
-	switch mode {
-	case ModeStep:
-		b.Engine.Run(n)
-	case ModeQuiet:
-		b.Engine.RunQuiet(n)
-	case ModeLeap:
-		b.Engine.RunLeap(n)
-	default:
-		t.Fatalf("unknown mode %q", mode)
-	}
-}
-
 // requireSameObservers compares every observer's externally observable
 // state between the reference run and the resumed run.
 func requireSameObservers(t *testing.T, label string, ref, got *Built) {
@@ -97,7 +79,7 @@ func requireSameObservers(t *testing.T, label string, ref, got *Built) {
 func checkpointSplit(t *testing.T, base *Spec, mode string, k, total int64) *Built {
 	t.Helper()
 	a := buildFresh(t, base)
-	runSegment(t, a, mode, k)
+	a.advance(mode, k)
 	cp, err := a.Checkpoint()
 	if err != nil {
 		t.Fatalf("Checkpoint at k=%d: %v", k, err)
@@ -114,7 +96,7 @@ func checkpointSplit(t *testing.T, base *Spec, mode string, k, total int64) *Bui
 	if err := b.Restore(cp2); err != nil {
 		t.Fatalf("Restore at k=%d: %v", k, err)
 	}
-	runSegment(t, b, mode, total-k)
+	b.advance(mode, total-k)
 	return b
 }
 
@@ -139,7 +121,7 @@ func TestCheckpointResumeCorpus(t *testing.T) {
 			total := base.Run.Steps
 			for _, mode := range []string{ModeStep, ModeQuiet, ModeLeap} {
 				ref := buildFresh(t, base)
-				runSegment(t, ref, mode, total)
+				ref.advance(mode, total)
 				h := fnv.New64a()
 				fmt.Fprintf(h, "%s/%s", base.Name, mode)
 				rng := rand.New(rand.NewSource(int64(h.Sum64())))
@@ -192,7 +174,7 @@ func TestCheckpointResumeTelemetryObservers(t *testing.T) {
 				if ref.Sampler == nil || ref.Spans == nil {
 					t.Fatal("telemetry observers not built")
 				}
-				runSegment(t, ref, mode, total)
+				ref.advance(mode, total)
 				h := fnv.New64a()
 				fmt.Fprintf(h, "telemetry/%s/%s", base.Name, mode)
 				rng := rand.New(rand.NewSource(int64(h.Sum64())))

@@ -350,7 +350,7 @@ func emitE7() Emitted {
 	adv := adversary.NewRandomWR(g, w, rate, d, int64(17*d)+3)
 	e := sim.New(g, policy.FIFO{}, adv)
 	steps := int64(2500)
-	e.RunQuiet(steps)
+	e.Run(steps)
 	spec := &Spec{
 		Version:    Version,
 		Name:       "e7-theorem41-greedy",
@@ -382,7 +382,7 @@ func emitE8() Emitted {
 	adv := adversary.NewRandomWR(g, w, rate, d, int64(29*d)+7)
 	e := sim.New(g, policy.LIS{}, adv)
 	steps := int64(2500)
-	e.RunQuiet(steps)
+	e.Run(steps)
 	spec := &Spec{
 		Version:    Version,
 		Name:       "e8-theorem43-timepriority",
@@ -505,7 +505,7 @@ func emitH1() Emitted {
 	namer := edgeNamer(c.G)
 	seeds := seedsFromEngine(namer, e)
 	steps := 2*s + int64(p.N)
-	e.RunQuiet(steps)
+	e.Run(steps)
 
 	edges := make(map[string]string, p.N)
 	for _, eid := range c.EPath(2) {

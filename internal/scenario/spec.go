@@ -289,9 +289,11 @@ type SeedSpec struct {
 
 // RunSpec is the run block: horizon, run mode and observers.
 //
-// Modes: "step" (default, per-step observer dispatch), "quiet" (the
-// observerless fast path; event observers still fire), "leap"
-// (batch-advance provably static windows; results are identical).
+// Modes: "step" (default: Engine.Run, every configured observer sees
+// every step), "leap" (Engine.RunLeap: batch-advance provably static
+// windows; results are identical), and "quiet", an alias of "step"
+// kept for spec compatibility (it runs exactly like "step"; only the
+// mode label in reports differs).
 //
 // Observers: "recorder" (queue-size series), "latency" (end-to-end
 // latency stats), "window" (the (w,r) WindowValidator — requires

@@ -25,7 +25,7 @@ func TestStepAllocsSeededFIFODrain(t *testing.T) {
 	route := []graph.EdgeID{g.MustEdge("e1"), g.MustEdge("e2"), g.MustEdge("e3")}
 	e := sim.New(g, policy.FIFO{}, nil)
 	e.SeedN(1<<12, packet.Inj(route...))
-	e.RunQuiet(64)
+	e.Run(64)
 	if avg := testing.AllocsPerRun(256, func() { e.Step() }); avg != 0 {
 		t.Errorf("seeded FIFO drain: %v allocs per Step, want 0", avg)
 	}
@@ -40,7 +40,7 @@ func TestStepAllocsRandomWR(t *testing.T) {
 	e := sim.New(g, policy.FIFO{}, adv)
 	// Warm up into steady state: arenas, rings and the active set reach
 	// their recycled capacities.
-	e.RunQuiet(512)
+	e.Run(512)
 	if avg := testing.AllocsPerRun(512, func() { e.Step() }); avg != 0 {
 		t.Errorf("random (w,r) load: %v allocs per Step, want 0", avg)
 	}

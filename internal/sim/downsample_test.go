@@ -107,26 +107,3 @@ func TestAsciiPlotSpikeVisible(t *testing.T) {
 		t.Errorf("caption lost the peak:\n%s", plot)
 	}
 }
-
-func TestTracerDroppedKeepsOldest(t *testing.T) {
-	g := graph.Line(1)
-	tr := &Tracer{Cap: 2}
-	e := New(g, policy.FIFO{}, InjectFunc(func(e *Engine) []packet.Injection {
-		if e.Now() > 5 {
-			return nil
-		}
-		return []packet.Injection{packet.InjNamed(g, "e1")}
-	}))
-	e.AddObserver(tr)
-	e.Run(8)
-	if len(tr.Events()) != 2 {
-		t.Fatalf("retained %d events, Cap is 2", len(tr.Events()))
-	}
-	if tr.Dropped() != 3 {
-		t.Errorf("Dropped() = %d, want 3 (5 injections, 2 kept)", tr.Dropped())
-	}
-	if tr.Events()[0].T != 1 || tr.Events()[1].T != 2 {
-		t.Errorf("keep-oldest violated: events at t=%d,%d, want 1,2",
-			tr.Events()[0].T, tr.Events()[1].T)
-	}
-}

@@ -105,8 +105,8 @@ func DropByName(name string) (DropPolicy, error) {
 // step t, packet p was discarded at the full buffer of edge eid —
 // either the arrival itself (never enqueued there) or an evicted
 // resident. Fires from the same event-dispatch layer as the other
-// event observers, so AddEventObserver wiring preserves the
-// observerless Run fast path.
+// event observers, so AddEventObserver wiring keeps it out of the
+// per-step OnStep dispatch.
 type DropObserver interface {
 	OnDrop(t int64, eid graph.EdgeID, p *packet.Packet)
 }

@@ -158,10 +158,12 @@ func TestBoundedKeyedPolicyEvictions(t *testing.T) {
 	}
 	snap := ref.Snap()
 	snap.Stats.Nanos = 0
-	for _, mode := range []string{"quiet", "leap"} {
+	for _, mode := range []string{"step", "leap"} {
 		e := build()
-		if mode == "quiet" {
-			e.RunQuiet(40)
+		if mode == "step" {
+			for i := 0; i < 40; i++ {
+				e.Step()
+			}
 		} else {
 			e.RunLeap(40)
 		}

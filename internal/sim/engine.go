@@ -343,9 +343,9 @@ func (e *Engine) AddObserver(ob Observer) {
 
 // AddEventObserver registers an event-only observer: any of the event
 // interfaces is detected and wired, but ob is NOT added to the OnStep
-// dispatch list, so Run keeps its observerless fast path (RunQuiet) —
-// the contract the flight recorder relies on. It panics if ob
-// implements none of the event interfaces.
+// dispatch list, so it costs the run loop nothing per step — the
+// contract the flight recorder relies on. It panics if ob implements
+// none of the event interfaces.
 func (e *Engine) AddEventObserver(ob any) {
 	if !e.addEventInterfaces(ob) {
 		panic(fmt.Sprintf("sim: %T implements no event observer interface", ob))
@@ -563,18 +563,69 @@ func (e *Engine) insertActive(eid graph.EdgeID) {
 }
 
 // Step executes one time step and dispatches OnStep observers.
-func (e *Engine) Step() {
-	start := time.Now()
-	e.stepCore()
-	for _, ob := range e.observers {
-		ob.OnStep(e)
+func (e *Engine) Step() { e.run(1, nil, false) }
+
+// Run executes n steps; every registered observer sees every step
+// exactly once, as with repeated Step calls.
+func (e *Engine) Run(n int64) { e.run(n, nil, false) }
+
+// RunUntil executes steps until pred returns true or maxSteps steps
+// have run; it reports whether pred fired. pred is evaluated at entry
+// (a predicate that already holds costs zero steps and zero observer
+// dispatches) and after every step.
+func (e *Engine) RunUntil(pred func(e *Engine) bool, maxSteps int64) bool {
+	return e.run(maxSteps, pred, false)
+}
+
+// run is the engine's one run loop; every run entry point wraps it.
+// Each step it executes stepCore and dispatches OnStep to the
+// registered observers, then evaluates pred (nil never fires). With
+// leap set and a StaticAdversary installed, it first tries to
+// batch-advance a static window (leap.go), which stands in for the
+// steps it covers. pred is evaluated at entry, after every step and
+// after every leaped window. Wall-clock time is added to
+// StepStats.Nanos once per call.
+func (e *Engine) run(n int64, pred func(e *Engine) bool, leap bool) bool {
+	if pred != nil && pred(e) {
+		return true
 	}
-	e.stats.Nanos += time.Since(start).Nanoseconds()
+	if n <= 0 {
+		return false
+	}
+	start := time.Now()
+	defer func() { e.stats.Nanos += time.Since(start).Nanoseconds() }()
+	// The capability check is hoisted out of the loop: with an adversary
+	// that cannot prove static windows (RandomWR and friends) the loop
+	// pays no per-step leap probe.
+	var sa StaticAdversary
+	if leap {
+		sa, _ = e.adv.(StaticAdversary)
+	}
+	for done := int64(0); done < n; {
+		var k int64
+		var kind LeapKind
+		if sa != nil {
+			k, kind = e.leapWindow(sa, n-done)
+		}
+		if k > 0 {
+			e.applyLeap(k, kind)
+			done += k
+		} else {
+			e.stepCore()
+			done++
+			for _, ob := range e.observers {
+				ob.OnStep(e)
+			}
+		}
+		if pred != nil && pred(e) {
+			return true
+		}
+	}
+	return false
 }
 
 // stepCore executes one time step without dispatching OnStep observers
-// and without wall-clock accounting (callers attribute StepStats.Nanos,
-// per step or per batch). Event observers — injection, reroute,
+// and without wall-clock accounting (both belong to run). Event observers — injection, reroute,
 // absorption — still fire: they are wired into admit, ReplaceRouteSuffix
 // and the receive substep, not into the per-step dispatch loop.
 func (e *Engine) stepCore() {
@@ -646,72 +697,6 @@ func (e *Engine) stepCore() {
 	}
 	e.stats.Steps++
 	e.midStep = false
-}
-
-// Run executes n steps. When no observers are registered the per-step
-// dispatch loop is skipped entirely (the RunQuiet fast path); otherwise
-// every registered observer sees every step exactly once, as with
-// repeated Step calls.
-func (e *Engine) Run(n int64) {
-	if len(e.observers) == 0 {
-		e.RunQuiet(n)
-		return
-	}
-	for i := int64(0); i < n; i++ {
-		e.Step()
-	}
-}
-
-// RunQuiet executes n steps without dispatching OnStep observers,
-// whether or not any are registered — the hot loop for threshold
-// searches and batch experiments where per-step observation is
-// unnecessary. Event observers (InjectionObserver, RerouteObserver,
-// AbsorptionObserver) still fire. With zero observers registered,
-// RunQuiet(n) and Run(n) produce identical executions (equivalence is
-// asserted by TestRunQuietEquivalence). Wall-clock time is accounted to
-// StepStats.Nanos once per batch instead of once per step.
-func (e *Engine) RunQuiet(n int64) {
-	if n <= 0 {
-		return
-	}
-	start := time.Now()
-	for i := int64(0); i < n; i++ {
-		e.stepCore()
-	}
-	e.stats.Nanos += time.Since(start).Nanoseconds()
-}
-
-// RunUntil executes steps until pred returns true or maxSteps steps
-// have run; it reports whether pred fired. pred is evaluated at entry:
-// a predicate that already holds costs zero steps and zero observer
-// dispatches (previously the engine burned one step before looking).
-// Like Run, it skips the OnStep dispatch loop entirely when no
-// observers are registered (wall-clock time is then accounted to
-// StepStats.Nanos once for the whole run, pred evaluations included,
-// exactly as a manual stepCore loop timed as one batch would report);
-// event observers still fire either way.
-func (e *Engine) RunUntil(pred func(e *Engine) bool, maxSteps int64) bool {
-	if pred(e) {
-		return true
-	}
-	if len(e.observers) == 0 {
-		start := time.Now()
-		defer func() { e.stats.Nanos += time.Since(start).Nanoseconds() }()
-		for i := int64(0); i < maxSteps; i++ {
-			e.stepCore()
-			if pred(e) {
-				return true
-			}
-		}
-		return false
-	}
-	for i := int64(0); i < maxSteps; i++ {
-		e.Step()
-		if pred(e) {
-			return true
-		}
-	}
-	return false
 }
 
 // ExtendRoute appends ext to p's route. Allowed only from PreStep (at
@@ -929,8 +914,8 @@ type StepStats struct {
 	Injections int64
 
 	// Drops counts packets discarded at full buffers (bounded mode
-	// only; identically 0 when Config.BufferCap == 0, keeping stepped,
-	// quiet and leaped Snapshots of unbounded engines byte-identical to
+	// only; identically 0 when Config.BufferCap == 0, keeping stepped
+	// and leaped Snapshots of unbounded engines byte-identical to
 	// the pre-bounded engine).
 	Drops int64
 

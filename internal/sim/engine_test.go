@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -337,17 +338,36 @@ func TestGreedyInvariant(t *testing.T) {
 	}
 }
 
+// traceEvent is one injection or reroute seen by a tracer: its time
+// and the route injected, or the old route on reroute.
+type traceEvent struct {
+	reroute bool
+	t       int64
+	route   []graph.EdgeID
+}
+
+// tracer is a test event observer logging injections and reroutes.
+type tracer struct{ events []traceEvent }
+
+func (tr *tracer) OnInject(t int64, p *packet.Packet) {
+	tr.events = append(tr.events, traceEvent{t: t, route: slices.Clone(p.Route)})
+}
+
+func (tr *tracer) OnReroute(t int64, _ *packet.Packet, old []graph.EdgeID) {
+	tr.events = append(tr.events, traceEvent{reroute: true, t: t, route: slices.Clone(old)})
+}
+
 func TestObserversFire(t *testing.T) {
 	g := graph.Line(2)
-	tr := &Tracer{}
+	tr := &tracer{}
 	adv := &onceInjector{at: 2, injs: []packet.Injection{packet.Inj(route(g, "e1", "e2")...)}}
 	e := New(g, policy.FIFO{}, adv)
-	e.AddObserver(tr)
+	e.AddEventObserver(tr)
 	rec := NewRecorder(1)
 	e.AddObserver(rec)
 	e.Run(4)
-	evs := tr.Events()
-	if len(evs) != 1 || evs[0].Kind != EvInject || evs[0].T != 2 {
+	evs := tr.events
+	if len(evs) != 1 || evs[0].reroute || evs[0].t != 2 {
 		t.Errorf("trace events = %+v", evs)
 	}
 	if len(rec.Samples()) != 4 {
@@ -360,28 +380,17 @@ func TestObserversFire(t *testing.T) {
 
 func TestTracerRecordsReroutes(t *testing.T) {
 	g := graph.Line(3)
-	tr := &Tracer{}
+	tr := &tracer{}
 	e := New(g, policy.FIFO{}, nil)
-	e.AddObserver(tr)
+	e.AddEventObserver(tr)
 	p := e.Seed(packet.Inj(route(g, "e1")...))
 	e.ExtendRoute(p, route(g, "e2"))
-	evs := tr.Events()
-	if len(evs) != 2 || evs[1].Kind != EvReroute {
+	evs := tr.events
+	if len(evs) != 2 || !evs[1].reroute {
 		t.Fatalf("events = %+v", evs)
 	}
-	if len(evs[1].Route) != 1 {
-		t.Errorf("old route length = %d, want 1", len(evs[1].Route))
-	}
-}
-
-func TestTracerCap(t *testing.T) {
-	g := graph.Line(1)
-	tr := &Tracer{Cap: 2}
-	e := New(g, policy.FIFO{}, nil)
-	e.AddObserver(tr)
-	e.SeedN(5, packet.Inj(route(g, "e1")...))
-	if len(tr.Events()) != 2 {
-		t.Errorf("cap not applied: %d events", len(tr.Events()))
+	if len(evs[1].route) != 1 {
+		t.Errorf("old route length = %d, want 1", len(evs[1].route))
 	}
 }
 

@@ -7,10 +7,10 @@
 // the step engine still pays a full stepCore per tick. Leap mode skips
 // the ticks: when the adversary proves its schedule static over the
 // next k steps (the StaticAdversary capability) and the network is in
-// a regime whose evolution has a closed form, RunLeap advances the
-// clock by k at once, updating per-edge queue lengths, injected/
-// absorbed, the incremental max-queue tracker and StepStats exactly as
-// k stepCore calls would have.
+// a regime whose evolution has a closed form, the engine's run loop
+// advances the clock by k at once, updating per-edge queue lengths,
+// injected/absorbed, the incremental max-queue tracker and StepStats
+// exactly as k stepCore calls would have.
 //
 // Two window regimes are leapable:
 //
@@ -28,10 +28,14 @@
 //     step engine would reach TotalQueued() == 0.
 //
 // Equivalence contract (gated by TestLeapEquivalence and the golden
-// experiment tables): RunLeap(n) produces a bit-identical Snapshot
+// experiment tables): the engine has one run loop (Engine.run), and
+// RunLeap/RunLeapUntil are that loop with leap windows enabled, Run/
+// RunUntil the same loop with them disabled. Enabling them changes
+// nothing observable: RunLeap(n) produces a bit-identical Snapshot
 // (modulo Stats.Nanos) and identical per-edge queue lengths to Run(n).
 // Leap bookkeeping lives in a separate LeapStats, NOT in StepStats,
-// precisely so the Snapshot comparison stays byte-for-byte.
+// precisely so the Snapshot comparison stays byte-for-byte. Run never
+// leaps on its own.
 //
 // Observers: a window is only leaped if every OnStep observer — and,
 // for drain windows, every send/absorption event observer — implements
@@ -46,7 +50,6 @@ package sim
 
 import (
 	"math"
-	"time"
 
 	"aqt/internal/graph"
 	"aqt/internal/packet"
@@ -138,15 +141,10 @@ type LeapStats struct {
 // Leaps returns the accumulated leap-mode counters.
 func (e *Engine) Leaps() LeapStats { return e.leapStats }
 
-// RunLeap executes n steps like Run, batch-advancing over provably
-// static windows. The execution is bit-identical to Run(n) — same
-// Snapshot (modulo Stats.Nanos), same per-edge queues, same keyed-heap
-// counters; only the wall-clock accounting differs (StepStats.Nanos is
-// charged once per batch, as in RunQuiet). OnStep observers see every
-// executed step; leaped windows reach them as OnLeap calls instead.
-func (e *Engine) RunLeap(n int64) {
-	e.runLeap(n, nil)
-}
+// RunLeap is Run with leaping: it executes n steps, batch-advancing
+// over provably static windows. OnStep observers see every executed
+// step; leaped windows reach them as OnLeap calls instead.
+func (e *Engine) RunLeap(n int64) { e.run(n, nil, true) }
 
 // RunLeapUntil is RunUntil with leaping. pred is evaluated at entry
 // (already-true costs zero steps, matching RunUntil), after every
@@ -158,49 +156,7 @@ func (e *Engine) RunLeap(n int64) {
 // window, and emptiness predicates (TotalQueued() == 0) because drain
 // windows are clamped to end exactly when the network empties.
 func (e *Engine) RunLeapUntil(pred func(e *Engine) bool, maxSteps int64) bool {
-	if pred == nil {
-		panic("sim: RunLeapUntil needs a predicate")
-	}
-	return e.runLeap(maxSteps, pred)
-}
-
-func (e *Engine) runLeap(n int64, pred func(e *Engine) bool) bool {
-	if pred != nil && pred(e) {
-		return true
-	}
-	if n <= 0 {
-		return false
-	}
-	observed := len(e.observers) > 0
-	start := time.Now()
-	defer func() { e.stats.Nanos += time.Since(start).Nanoseconds() }()
-	// The capability check is hoisted out of the loop: with an adversary
-	// that cannot prove static windows (RandomWR and friends) the loop
-	// below is exactly Run's stepped loop, with no per-step leap probe.
-	sa, static := e.adv.(StaticAdversary)
-	for done := int64(0); done < n; {
-		if static {
-			if k, kind := e.leapWindow(sa, n-done); k > 0 {
-				e.applyLeap(k, kind)
-				done += k
-				if pred != nil && pred(e) {
-					return true
-				}
-				continue
-			}
-		}
-		e.stepCore()
-		done++
-		if observed {
-			for _, ob := range e.observers {
-				ob.OnStep(e)
-			}
-		}
-		if pred != nil && pred(e) {
-			return true
-		}
-	}
-	return false
+	return e.run(maxSteps, pred, true)
 }
 
 // leapWindow returns the number of steps (0 = must step) the engine

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"aqt/internal/graph"
-	"aqt/internal/packet"
 )
 
 // Sample is one point of a recorded queue-size time series.
@@ -273,69 +272,6 @@ func max(a, b int) int {
 	}
 	return b
 }
-
-// EventKind labels a trace event.
-type EventKind uint8
-
-// Event kinds recorded by Tracer.
-const (
-	EvInject EventKind = iota
-	EvReroute
-)
-
-// Event is one recorded trace event.
-type Event struct {
-	Kind  EventKind
-	T     int64
-	Pkt   int64
-	Route []graph.EdgeID // the route injected, or the old route on reroute
-}
-
-// Tracer records injections and reroutes up to a cap (0 = unbounded).
-// It exists for tests and debugging; the adversary validators keep
-// their own richer records.
-//
-// Semantics at the cap are keep-OLDEST: once Cap events are stored,
-// later events are counted by Dropped() but not retained — the head of
-// the execution survives, the tail is lost. For the opposite (a
-// bounded tail of the most recent events, alloc-free, with phase
-// markers and JSONL dump) use obs.FlightRecorder, which supersedes
-// Tracer for debugging long runs.
-type Tracer struct {
-	Cap     int
-	events  []Event
-	dropped int64
-}
-
-// OnStep implements Observer (no per-step event).
-func (t *Tracer) OnStep(*Engine) {}
-
-// OnInject implements InjectionObserver.
-func (t *Tracer) OnInject(now int64, p *packet.Packet) {
-	t.record(Event{Kind: EvInject, T: now, Pkt: int64(p.ID),
-		Route: append([]graph.EdgeID{}, p.Route...)})
-}
-
-// OnReroute implements RerouteObserver.
-func (t *Tracer) OnReroute(now int64, p *packet.Packet, oldRoute []graph.EdgeID) {
-	t.record(Event{Kind: EvReroute, T: now, Pkt: int64(p.ID),
-		Route: append([]graph.EdgeID{}, oldRoute...)})
-}
-
-func (t *Tracer) record(ev Event) {
-	if t.Cap > 0 && len(t.events) >= t.Cap {
-		t.dropped++
-		return
-	}
-	t.events = append(t.events, ev)
-}
-
-// Events returns the recorded events (shared slice; read-only).
-func (t *Tracer) Events() []Event { return t.events }
-
-// Dropped returns the number of events discarded after Cap was
-// reached (keep-oldest semantics; 0 with an unbounded Tracer).
-func (t *Tracer) Dropped() int64 { return t.dropped }
 
 // RecorderState is the serializable dynamic state of a Recorder:
 // configuration (stride, bound), the retained sample series, the

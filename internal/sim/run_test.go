@@ -1,6 +1,7 @@
-// Equivalence tests for the quiet observation path: RunQuiet must be
-// the same execution as Run, observers must see every step exactly
-// once, and event observers must keep firing under RunQuiet.
+// Equivalence tests for the engine's run loop: an unobserved ("quiet")
+// Run, an observed Run and a Step loop must be the same execution,
+// observers must see every step exactly once, and event-only
+// observers must get every event but no OnStep.
 package sim_test
 
 import (
@@ -21,11 +22,12 @@ func normalize(s sim.Snapshot) sim.Snapshot {
 	return s
 }
 
-// TestRunQuietEquivalence runs the same seeded random (w,r) workload
-// three ways — RunQuiet, Run with zero observers, and a manual Step
-// loop — for FIFO, LIS and NTG, and requires identical Snapshots and
-// StepStats (modulo Nanos) plus identical per-edge queue lengths.
-func TestRunQuietEquivalence(t *testing.T) {
+// TestRunEquivalence runs the same seeded random (w,r) workload
+// three ways — Run with zero observers, Run with an OnStep observer and
+// a manual Step loop — for FIFO, LIS and NTG, and requires identical
+// Snapshots and StepStats (modulo Nanos) plus identical per-edge queue
+// lengths.
+func TestRunEquivalence(t *testing.T) {
 	const steps = 500
 	for _, pol := range []policy.Policy{policy.FIFO{}, policy.LIS{}, policy.NTG{}} {
 		t.Run(pol.Name(), func(t *testing.T) {
@@ -37,32 +39,36 @@ func TestRunQuietEquivalence(t *testing.T) {
 				return e
 			}
 			quiet, loud, manual := build(), build(), build()
-			quiet.RunQuiet(steps)
+			quiet.Run(steps)
+			rec := &stepRecorder{}
+			loud.AddObserver(rec)
 			loud.Run(steps)
 			for i := 0; i < steps; i++ {
 				manual.Step()
 			}
 			sq, sl, sm := normalize(quiet.Snap()), normalize(loud.Snap()), normalize(manual.Snap())
 			if sq != sl {
-				t.Errorf("RunQuiet snapshot %+v != Run snapshot %+v", sq, sl)
+				t.Errorf("quiet Run snapshot %+v != observed Run snapshot %+v", sq, sl)
 			}
 			if sq != sm {
-				t.Errorf("RunQuiet snapshot %+v != Step-loop snapshot %+v", sq, sm)
+				t.Errorf("quiet Run snapshot %+v != Step-loop snapshot %+v", sq, sm)
+			}
+			if len(rec.times) != steps {
+				t.Errorf("observed Run dispatched OnStep %d times over %d steps", len(rec.times), steps)
 			}
 			for eid := 0; eid < quiet.Graph().NumEdges(); eid++ {
 				id := graph.EdgeID(eid)
-				if quiet.QueueLen(id) != loud.QueueLen(id) {
-					t.Fatalf("edge %d: RunQuiet queue %d != Run queue %d",
-						eid, quiet.QueueLen(id), loud.QueueLen(id))
+				if quiet.QueueLen(id) != loud.QueueLen(id) || quiet.QueueLen(id) != manual.QueueLen(id) {
+					t.Fatalf("edge %d: quiet queue %d, observed queue %d, Step-loop queue %d",
+						eid, quiet.QueueLen(id), loud.QueueLen(id), manual.QueueLen(id))
 				}
 			}
 		})
 	}
 }
 
-// TestRunUntilQuietEquivalence pins the observer-free RunUntil fast
-// path (stepCore, batch Nanos accounting) against a manual Step +
-// predicate loop and against RunUntil with an observer attached: same
+// TestRunUntilQuietEquivalence pins an observer-free RunUntil (one
+// Nanos charge per call) against a manual Step + predicate loop and against RunUntil with an observer attached: same
 // fired flag, same stop time, same Snapshot, same queues — and the
 // observed variant must still dispatch OnStep once per step.
 func TestRunUntilQuietEquivalence(t *testing.T) {
@@ -113,7 +119,7 @@ func TestRunUntilQuietEquivalence(t *testing.T) {
 				t.Errorf("observed RunUntil dispatched OnStep %d times over %d steps",
 					len(rec.times), observed.Now())
 			}
-			// The fast path must still account wall time in StepStats.
+			// The run loop must still account wall time in StepStats.
 			if quiet.Snap().Stats.Nanos <= 0 {
 				t.Error("quiet RunUntil recorded no Nanos")
 			}
@@ -122,7 +128,7 @@ func TestRunUntilQuietEquivalence(t *testing.T) {
 }
 
 // TestRunUntilExhaustsBudget covers the pred-never-fires branch of the
-// quiet fast path: exactly maxSteps are taken and false is returned.
+// run loop: exactly maxSteps are taken and false is returned.
 func TestRunUntilExhaustsBudget(t *testing.T) {
 	g := graph.Line(4)
 	e := sim.New(g, policy.FIFO{}, adversary.NewRandomWR(g, 8, rational.New(1, 2), 3, 3))
@@ -160,7 +166,7 @@ func TestRunDispatchesEveryStep(t *testing.T) {
 }
 
 // countingEventObserver counts event-observer callbacks (and OnStep, to
-// prove RunQuiet suppresses it).
+// prove an event-only registration never receives it).
 type countingEventObserver struct {
 	steps, injects, reroutes, absorbs int
 }
@@ -170,16 +176,17 @@ func (c *countingEventObserver) OnInject(int64, *packet.Packet)                 
 func (c *countingEventObserver) OnReroute(int64, *packet.Packet, []graph.EdgeID) { c.reroutes++ }
 func (c *countingEventObserver) OnAbsorb(int64, *packet.Packet)                  { c.absorbs++ }
 
-// TestRunQuietDeliversEvents verifies the documented RunQuiet contract:
-// OnStep is skipped, but injection and absorption events still fire.
-func TestRunQuietDeliversEvents(t *testing.T) {
+// TestEventOnlyObserverSkipsOnStep verifies the AddEventObserver contract:
+// an observer registered for events only is left out of the OnStep
+// dispatch, but Run still delivers its injection and absorption events.
+func TestEventOnlyObserverSkipsOnStep(t *testing.T) {
 	g := graph.Line(8)
 	e := sim.New(g, policy.FIFO{}, adversary.NewRandomWR(g, 12, rational.New(1, 2), 3, 9))
 	ob := &countingEventObserver{}
-	e.AddObserver(ob)
-	e.RunQuiet(200)
+	e.AddEventObserver(ob)
+	e.Run(200)
 	if ob.steps != 0 {
-		t.Errorf("RunQuiet dispatched OnStep %d times, want 0", ob.steps)
+		t.Errorf("event-only observer got OnStep %d times, want 0", ob.steps)
 	}
 	if int64(ob.injects) != e.Injected() || ob.injects == 0 {
 		t.Errorf("observer saw %d injections, engine reports %d", ob.injects, e.Injected())

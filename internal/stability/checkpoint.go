@@ -32,9 +32,7 @@ func PauseRun(eng *sim.Engine, steps, stride, pauseAt int64, growthThreshold flo
 	if pauseAt < 1 || pauseAt > steps {
 		return nil, fmt.Errorf("stability: pauseAt %d outside [1, %d]", pauseAt, steps)
 	}
-	rec := sim.NewRecorder(stride)
-	rec.MaxSamples = 1 << 14
-	eng.AddObserver(rec)
+	rec := attachProbeRecorder(eng, stride)
 	eng.RunLeap(pauseAt)
 	ec, err := eng.Checkpoint()
 	if err != nil {
@@ -73,12 +71,7 @@ func ResumeRun(eng *sim.Engine, pc *ProbeCheckpoint) (RunReport, error) {
 		return RunReport{}, err
 	}
 	eng.RunLeap(pc.Remaining)
-	return RunReport{
-		Verdict:    Classify(rec.Samples(), pc.Growth),
-		PeakTotal:  rec.PeakTotal(),
-		FinalTotal: eng.TotalQueued(),
-		Samples:    rec.Samples(),
-	}, nil
+	return probeReport(eng, rec, pc.Growth), nil
 }
 
 // Encode renders the probe checkpoint as deterministic indented JSON

@@ -93,8 +93,7 @@ func (r ResidenceResult) String() string {
 // adversary uses (for the report only).
 func CheckResidence(g *graph.Graph, pol policy.Policy, adv sim.Adversary, w int64, rate rational.Rat, d int, steps int64) ResidenceResult {
 	e := sim.New(g, pol, adv)
-	// No observers and no per-step decisions: take the quiet hot loop.
-	e.RunQuiet(steps)
+	e.Run(steps)
 	return ResidenceResult{
 		Policy:   pol.Name(),
 		W:        w,
@@ -178,21 +177,32 @@ type RunReport struct {
 
 // Run runs eng for steps and classifies.
 func Run(eng *sim.Engine, steps, stride int64, growthThreshold float64) RunReport {
-	rec := sim.NewRecorder(stride)
-	// Bound the retained series so million-step stride-1 probes cannot
-	// grow memory with the horizon: past 2^14 samples the recorder
-	// doubles its effective stride in place. Peaks stay exact (they are
-	// tracked every step, independent of sampling) and every workload
-	// the repo's experiments run stays far below the bound, so existing
-	// series — and Classify verdicts — are unchanged.
-	rec.MaxSamples = 1 << 14
-	eng.AddObserver(rec)
+	rec := attachProbeRecorder(eng, stride)
 	// RunLeap batch-advances provably static stretches (idle tails and
 	// final-edge drains) when the adversary reports a horizon; with a
 	// non-static adversary or extra observers it degrades to Run's
 	// per-step execution, bit-identically either way. The Recorder
 	// reconstructs its samples and peaks across leaped windows.
 	eng.RunLeap(steps)
+	return probeReport(eng, rec, growthThreshold)
+}
+
+// attachProbeRecorder attaches the stride-sampled recorder a probe
+// classifies. The retained series is bounded so million-step stride-1
+// probes cannot grow memory with the horizon: past 2^14 samples the
+// recorder doubles its effective stride in place. Peaks stay exact
+// (they are tracked every step, independent of sampling) and every
+// workload the repo's experiments run stays far below the bound, so
+// existing series — and Classify verdicts — are unchanged.
+func attachProbeRecorder(eng *sim.Engine, stride int64) *sim.Recorder {
+	rec := sim.NewRecorder(stride)
+	rec.MaxSamples = 1 << 14
+	eng.AddObserver(rec)
+	return rec
+}
+
+// probeReport classifies a finished probe.
+func probeReport(eng *sim.Engine, rec *sim.Recorder, growthThreshold float64) RunReport {
 	return RunReport{
 		Verdict:    Classify(rec.Samples(), growthThreshold),
 		PeakTotal:  rec.PeakTotal(),
